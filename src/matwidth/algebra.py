@@ -332,45 +332,71 @@ def zero_matrix(field: FieldSpec, rows: int, cols: int) -> GfMatrix:
     return GfMatrix(field, [[0] * cols for _ in range(rows)], cols=cols)
 
 
+# ---------------------------------------------------------------------------
+# the elimination kernel
+#
+# An echelon basis is a sequence of rows, each led by a 1 (its pivot, found
+# as row.index(1)) and zero at the pivots of the rows before it.  Every rank,
+# span and reduced form in the package is built from the two steps below.
+
+
+def _unit_row(field: FieldSpec, v):
+    """v scaled so that its first nonzero entry is 1, or None when v is zero."""
+    for c in v:
+        if c:
+            if c != 1:
+                inv = field.inv(c)
+                v = [field.mul(inv, x) for x in v]
+            return tuple(v)
+    return None
+
+
+def reduce_vector(field: FieldSpec, basis, v):
+    """Forward step: v less its components along an echelon basis.  The
+    result is zero exactly when v lies in the span; otherwise it is zero at
+    every basis pivot, so its first nonzero entry is a new pivot."""
+    for row in basis:
+        c = v[row.index(1)]
+        if c:
+            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+def echelon_push(field: FieldSpec, basis: list, v) -> None:
+    """Append v's residue against `basis` as a new basis row, unless v is
+    already spanned."""
+    row = _unit_row(field, reduce_vector(field, basis, v))
+    if row is not None:
+        basis.append(row)
+
+
+def canonical_insert(field: FieldSpec, basis: tuple, residue) -> tuple:
+    """Canonical step: add a nonzero residue of `reduce_vector` to a reduced
+    basis.  The result is the span's reduced row-echelon basis, sorted by
+    pivot, so equal spans give equal tuples."""
+    v = _unit_row(field, residue)
+    p = v.index(1)
+    grown = [v]
+    for row in basis:
+        c = row[p]
+        if c:
+            row = tuple(field.sub(x, field.mul(c, y)) for x, y in zip(row, v))
+        grown.append(row)
+    grown.sort(key=lambda row: row.index(1))
+    return tuple(grown)
+
+
 def rank(A: GfMatrix) -> int:
-    """Rank of the row space by exact Gaussian elimination."""
-    f = A.field
-    m, n = A.rows, A.cols
-    if m == 0 or n == 0:
-        return 0
-    rows = [list(r) for r in A.entries]
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r]
-        c = lead[col]
-        if c != 1:
-            inv = f.inv(c)
-            rows[r] = lead = [f.mul(inv, x) for x in lead]
-        for i in range(r + 1, m):
-            c = rows[i][col]
-            if c:
-                ri = rows[i]
-                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(ri, lead)]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank of the row space."""
+    return rank_of_columns(A.field, A.entries)
 
 
 def rank_of_columns(field: FieldSpec, columns) -> int:
-    """Rank of a list of column vectors (tuples over the field)."""
-    if not columns:
-        return 0
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return rank(GfMatrix(field, rows, cols=len(columns)))
+    """Rank of a list of vectors (tuples over the field)."""
+    basis = []
+    for col in columns:
+        echelon_push(field, basis, col)
+    return len(basis)
 
 
 def rref(A: GfMatrix) -> tuple:
@@ -385,34 +411,13 @@ def rref(A: GfMatrix) -> tuple:
         (its length is the rank).
     """
     f = A.field
-    m, n = A.rows, A.cols
-    rows = [list(r) for r in A.entries]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r]
-        c = lead[col]
-        if c != 1:
-            inv = f.inv(c)
-            rows[r] = lead = [f.mul(inv, x) for x in lead]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                ri = rows[i]
-                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(ri, lead)]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return GfMatrix(f, rows, cols=n), tuple(pivots)
+    basis = ()
+    for row in A.entries:
+        v = reduce_vector(f, basis, row)
+        if any(v):
+            basis = canonical_insert(f, basis, v)
+    rows = list(basis) + [(0,) * A.cols] * (A.rows - len(basis))
+    return GfMatrix(f, rows, cols=A.cols), tuple(row.index(1) for row in basis)
 
 
 def row_basis(A: GfMatrix) -> GfMatrix:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .algebra import FieldSpec, GfMatrix
 from .matroid import VectorMatroid, label_key
+from .pathwidth import prefix_dp
 
 MAX_PATHWIDTH_VERTICES = 16
 
@@ -177,32 +178,7 @@ def graph_pathwidth(G: MultiGraph, max_vertices: int = MAX_PATHWIDTH_VERTICES) -
         in_s = (masks >> u) & 1
         has_out = (masks & np.uint32(adj[u])) != np.uint32(adj[u])
         boundary += (in_s & has_out).astype(np.uint8)
-    pc = np.bitwise_count(masks)
-    VS = np.zeros(size, dtype=np.uint8)
-    for card in range(1, n + 1):
-        idx = np.nonzero(pc == card)[0]
-        best = np.full(idx.size, 255, dtype=np.uint8)
-        for v in range(n):
-            bit = 1 << v
-            sel = (idx & bit) != 0
-            sub = idx[sel]
-            if sub.size:
-                best[sel] = np.minimum(best[sel], VS[sub ^ bit])
-        VS[idx] = np.maximum(boundary[idx], best)
-    # recover a layout back to front
-    layout_rev = []
-    S = size - 1
-    while S:
-        best = None
-        for v in range(n):
-            bit = 1 << v
-            if S & bit:
-                cand = (int(VS[S ^ bit]), v)
-                if best is None or cand < best:
-                    best = cand
-        layout_rev.append(best[1])
-        S ^= 1 << best[1]
-    layout = list(reversed(layout_rev))
+    vs_value, layout = prefix_dp(boundary, n, lambda v: v)
     bags = []
     placed = 0
     for v in layout:
@@ -214,7 +190,6 @@ def graph_pathwidth(G: MultiGraph, max_vertices: int = MAX_PATHWIDTH_VERTICES) -
         bags.append(frozenset(bag))
     decomp = PathDecomposition(tuple(bags))
     width = validate_path_decomposition(G, decomp)
-    vs_value = int(VS[size - 1])
     assert width == vs_value, "layout-to-bags conversion changed the width"
     return vs_value, decomp
 

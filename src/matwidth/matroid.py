@@ -5,8 +5,16 @@ capped at 64 elements); every public query also accepts an iterable of
 labels.  Rank queries are memoized, and a full rank table over all 2^n
 subsets can be materialized for the exact solvers: subsets are swept in
 numeric order and each step reuses the canonical span (reduced echelon
-basis) of the subset minus its lowest element, so Gaussian elimination runs
-only once per distinct (span, element) pair.
+basis) of the subset minus its lowest element, so elimination runs only once
+per distinct (span, element) pair.
+
+All elimination (spans, ranks, the contraction in `apply_minor`) is the
+kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step
+and `canonical_insert` where a canonical basis is needed.  `apply_minor`
+builds a new matrix for callers that need a matroid; the minor search does
+not, and reads each candidate minor off the host's rank table instead
+(r_{M/X\\Y}(S) = r_M(S + X) - r_M(X), a table gather) and matches it with
+`table_isomorphism`.
 """
 
 from __future__ import annotations
@@ -179,15 +187,12 @@ class VectorMatroid:
             self._rank_table = self._sweep_rank_table()
         return self._rank_table
 
-    def has_rank_table(self) -> bool:
-        return self._rank_table is not None
-
     def _sweep_rank_table(self) -> np.ndarray:
         n = self.size
         field = self.field
         cols = self._cols
         size = 1 << n
-        # interned canonical spans: tuple of reduced basis rows over F^m
+        # interned canonical spans: reduced bases from algebra.canonical_insert
         state_rank = [0]
         trans: list[dict] = [{}]
         states = {(): 0}
@@ -200,10 +205,11 @@ class VectorMatroid:
             e = low_bit.bit_length() - 1
             t = trans[prev].get(e)
             if t is None:
-                sig = _span_insert(field, sigs[prev], cols[e])
-                if sig is None:
+                residue = algebra.reduce_vector(field, sigs[prev], cols[e])
+                if not any(residue):
                     t = prev
                 else:
+                    sig = algebra.canonical_insert(field, sigs[prev], residue)
                     t = states.get(sig)
                     if t is None:
                         t = len(sigs)
@@ -227,91 +233,29 @@ def _bit_positions(mask: int):
         mask ^= low
 
 
-def _span_insert(field, basis, col):
-    """Insert a column into a canonical reduced basis; None if already spanned."""
-    v = list(col)
-    for row in basis:
-        p = _pivot(row)
-        c = v[p]
-        if c:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    p = _pivot(v)
-    if p is None:
-        return None
-    c = v[p]
-    if c != 1:
-        inv = field.inv(c)
-        v = [field.mul(inv, x) for x in v]
-    new_rows = []
-    for row in basis:
-        c = row[p]
-        if c:
-            row = tuple(field.sub(x, field.mul(c, y)) for x, y in zip(row, v))
-        new_rows.append(row)
-    new_rows.append(tuple(v))
-    new_rows.sort(key=_pivot)
-    return tuple(new_rows)
-
-
-def _pivot(row):
-    for i, x in enumerate(row):
-        if x:
-            return i
-    return None
-
-
 # ---------------------------------------------------------------------------
 # minors, duals, direct sums
 
 
 def apply_minor(M: VectorMatroid, spec: MinorSpec) -> VectorMatroid:
     """M / contract \\ delete.  Contraction of dependent sets is allowed:
-    a maximal independent subset is contracted and the rest deleted, which
-    realizes r_N(S) = r_M(S + X) - r_M(X)."""
+    each kept column is reduced against an echelon basis of span(contract)
+    and the basis pivot coordinates (zero in every residue) are dropped, a
+    linear map with kernel span(contract), so r_N(S) = r_M(S + X) - r_M(X)."""
     cmask = M.mask_of(spec.contract)
     dmask = M.mask_of(spec.delete)
     if cmask & dmask:
         raise OverlappingSets("contract and delete overlap")
     field = M.field
-
-    # greedy maximal independent subset of the contract set, in ground order
-    indep = []
-    acc = 0
-    r = 0
+    basis = []
     for i in _bit_positions(cmask):
-        bit = 1 << i
-        if M._rank_mask(acc | bit) > r:
-            indep.append(i)
-            acc |= bit
-            r += 1
-
-    rows = [list(row) for row in M.matrix.entries]
-    m = len(rows)
-    pivot_rows = []
-    used = set()
-    for i in indep:
-        piv = None
-        for rr in range(m):
-            if rr not in used and rows[rr][i]:
-                piv = rr
-                break
-        assert piv is not None, "independent column has no pivot row"
-        lead = rows[piv]
-        c = lead[i]
-        if c != 1:
-            inv = field.inv(c)
-            rows[piv] = lead = [field.mul(inv, x) for x in lead]
-        for rr in range(m):
-            if rr != piv and rows[rr][i]:
-                c = rows[rr][i]
-                rows[rr] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[rr], lead)]
-        used.add(piv)
-        pivot_rows.append(piv)
-
+        algebra.echelon_push(field, basis, M._cols[i])
+    pivots = {row.index(1) for row in basis}
+    keep_rows = [r for r in range(M.matrix.rows) if r not in pivots]
     drop_cols = cmask | dmask
     keep_cols = [j for j in range(M.size) if not (drop_cols >> j) & 1]
-    keep_rows = [rr for rr in range(m) if rr not in used]
-    entries = [[rows[rr][j] for j in keep_cols] for rr in keep_rows]
+    cols = [algebra.reduce_vector(field, basis, M._cols[j]) for j in keep_cols]
+    entries = [[col[r] for col in cols] for r in keep_rows]
     sub = GfMatrix(field, entries, cols=len(keep_cols))
     return VectorMatroid(sub, tuple(M.labels[j] for j in keep_cols))
 
@@ -353,17 +297,20 @@ def direct_sum(M1: VectorMatroid, M2: VectorMatroid) -> VectorMatroid:
 
 def is_isomorphic(M: VectorMatroid, N: VectorMatroid):
     """A label bijection {e of M -> f of N} under which the rank functions
-    agree on every subset, or None.  Deterministic: elements are matched in
-    decreasing small-circuit-degree order and images tried in label order."""
+    agree on every subset, or None."""
     if M.size > ISO_MAX_GROUND or N.size > ISO_MAX_GROUND:
         raise GroundSetTooLarge(f"isomorphism capped at {ISO_MAX_GROUND} elements")
-    n = M.size
-    if n != N.size or M.rank_full != N.rank_full:
+    if M.size != N.size or M.rank_full != N.rank_full:
         return None
-    if n == 0:
-        return {}
-    TM = M.rank_table()
-    TN = N.rank_table()
+    return table_isomorphism(M.rank_table(), M.labels, N.rank_table(), N.labels)
+
+
+def table_isomorphism(TM, labels_m, TN, labels_n):
+    """is_isomorphic on rank tables over the same number of elements and of
+    equal full rank; labels_*[i] names bit i.  Deterministic: elements are
+    matched in decreasing small-circuit-degree order and images tried in
+    label order."""
+    n = len(labels_m)
     for card in range(1, min(3, n) + 1):
         if _layer_profile(TM, n, card) != _layer_profile(TN, n, card):
             return None
@@ -373,7 +320,8 @@ def is_isomorphic(M: VectorMatroid, N: VectorMatroid):
     if sorted(inv_m) != sorted(inv_n):
         return None
 
-    order = sorted(range(n), key=lambda i: (_circuit_degree_key(inv_m[i]), label_key(M.labels[i])))
+    order = sorted(range(n), key=lambda i: (_circuit_degree_key(inv_m[i]), label_key(labels_m[i])))
+    candidates = sorted(range(n), key=lambda j: label_key(labels_n[j]))
     image = [-1] * n
     used = [False] * n
 
@@ -400,7 +348,7 @@ def is_isomorphic(M: VectorMatroid, N: VectorMatroid):
         if depth == n:
             return True
         pos = order[depth]
-        for cand in sorted(range(n), key=lambda j: label_key(N.labels[j])):
+        for cand in candidates:
             if used[cand] or inv_n[cand] != inv_m[pos]:
                 continue
             image[pos] = cand
@@ -418,7 +366,7 @@ def is_isomorphic(M: VectorMatroid, N: VectorMatroid):
     for mask in range(1 << n):
         if TM[mask] != TN[translate(mask)]:
             raise AssertionError("isomorphism search returned an invalid bijection")
-    return {M.labels[i]: N.labels[image[i]] for i in range(n)}
+    return {labels_m[i]: labels_n[image[i]] for i in range(n)}
 
 
 def _layer_profile(table, n, card):

@@ -15,10 +15,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import graph as graphmod
 from . import matroid as matroidmod
-from .algebra import FieldSpec, GfMatrix
-from .matroid import GroundSetTooLarge, MinorSpec, VectorMatroid, apply_minor, is_isomorphic
+from .algebra import FieldSpec, GfMatrix, rank_of_columns
+from .matroid import GroundSetTooLarge, MinorSpec, VectorMatroid, apply_minor, table_isomorphism
 from .pathwidth import DEFAULT_EXACT_CAP, pathwidth_exact
 
 HOST_MAX_GROUND = 12
@@ -93,8 +95,6 @@ def uniform_representation(k: int, n: int, field: FieldSpec) -> GfMatrix:
         lead = next((x for x in col if x), None)
         if lead == 1 and col not in pool:
             pool.append(col)
-
-    from .algebra import rank_of_columns
 
     chosen: list = []
     for cand in pool:
@@ -271,12 +271,17 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid, host_cap: int = 
     Contract sets range over independent sets of size 0..r(host)-r(pattern)
     (smaller sizes cover rank lost by deletions); within each size, (X, Y)
     pairs are tried in lexicographic label order, so the first certificate
-    found is canonical."""
+    found is canonical.  Every candidate is read off the host's rank table
+    T: it has rank T(E - Y) - |X| and rank table T(S + X) - |X|, so no
+    minor matrix is built."""
     n_host, n_pat = host.size, pattern.size
     if n_host > host_cap:
         raise HostTooLarge(f"{n_host} > {host_cap} host elements")
     if n_pat > n_host or pattern.rank_full > host.rank_full:
         return None
+    T = host.rank_table()
+    T_pat = pattern.rank_table()
+    full = host.full_mask
     removals = n_host - n_pat
     max_contract = host.rank_full - pattern.rank_full
     positions = sorted(range(n_host), key=lambda i: matroidmod.label_key(host.labels[i]))
@@ -284,34 +289,56 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid, host_cap: int = 
         d_size = removals - c_size
         for X_pos in itertools.combinations(positions, c_size):
             xmask = sum(1 << i for i in X_pos)
-            if host.rank_subset(xmask) != c_size:
+            if T[xmask] != c_size:
                 continue  # only independent contract sets are needed
             rest = [i for i in positions if not (xmask >> i) & 1]
             for Y_pos in itertools.combinations(rest, d_size):
-                X = frozenset(host.labels[i] for i in X_pos)
-                Y = frozenset(host.labels[i] for i in Y_pos)
-                minor = apply_minor(host, MinorSpec(X, Y))
-                if minor.rank_full != pattern.rank_full:
+                ymask = sum(1 << i for i in Y_pos)
+                if T[full ^ ymask] - c_size != pattern.rank_full:
                     continue
-                bij = is_isomorphic(pattern, minor)
+                kept = [i for i in range(n_host) if not ((xmask | ymask) >> i) & 1]
+                table = T[_subset_index(kept) | xmask] - c_size
+                bij = table_isomorphism(T_pat, pattern.labels, table, [host.labels[i] for i in kept])
                 if bij is not None:
+                    X = frozenset(host.labels[i] for i in X_pos)
+                    Y = frozenset(host.labels[i] for i in Y_pos)
                     return MinorCertificate(X, Y, bij)
     return None
 
 
+def _subset_index(positions) -> np.ndarray:
+    """idx[S] = the host mask with bit positions[t] set for each bit t of S."""
+    idx = np.zeros(1, dtype=np.intp)
+    for pos in positions:
+        idx = np.concatenate((idx, idx | (1 << pos)))
+    return idx
+
+
 def replay_certificate(host: VectorMatroid, pattern: VectorMatroid, cert: MinorCertificate) -> bool:
-    """Re-verify a certificate independently of the search: apply the minor
-    and compare rank functions exhaustively under the bijection."""
-    minor = apply_minor(host, MinorSpec(cert.contract, cert.delete))
-    if set(cert.bijection) != set(pattern.labels) or set(cert.bijection.values()) != set(
-        minor.labels
-    ):
+    """Re-verify a certificate independently of the search: check
+    r_pattern(S) = r_host(f(S) + X) - r_host(X) on every pattern subset S by
+    elimination on the matrix columns, never reading a rank table.  A
+    malformed certificate (overlapping or unknown sets, a bijection onto
+    anything but E - X - Y) replays False."""
+    X, Y, bij = cert.contract, cert.delete, cert.bijection
+    ground = set(host.labels)
+    kept = ground - X - Y
+    if (X & Y or not (X | Y) <= ground or set(bij) != set(pattern.labels)
+            or set(bij.values()) != kept or len(kept) != pattern.size):
         return False
+    field = host.field
+
+    def column(M, lbl):
+        return M.matrix.column(M.position(lbl))
+
+    x_cols = [column(host, lbl) for lbl in X]
+    r_x = rank_of_columns(field, x_cols)
     n = pattern.size
     for mask in range(1 << n):
         subset = [pattern.labels[i] for i in range(n) if (mask >> i) & 1]
-        image = [cert.bijection[lbl] for lbl in subset]
-        if pattern.rank_subset(subset) != minor.rank_subset(image):
+        r_pat = rank_of_columns(pattern.field, [column(pattern, lbl) for lbl in subset])
+        r_minor = rank_of_columns(field, x_cols + [column(host, bij[lbl]) for lbl in subset]) - r_x
+        if r_pat != r_minor:
             return False
     return True
 

@@ -4,7 +4,8 @@ a greedy upper bound, and caterpillar branch-decompositions.
 The exact solver is a subset DP over prefix sets:
 B(S) = max(lambda(S), min over e in S of B(S - e)), B(empty) = 0, swept in
 cardinality layers over the full rank table; the optimal ordering is
-recovered by walking predecessors from the full ground set.
+recovered by walking predecessors from the full ground set.  The same DP
+(`prefix_dp`) with vertex-boundary costs gives graph pathwidth.
 """
 
 from __future__ import annotations
@@ -79,8 +80,12 @@ def _lambda_table(M: VectorMatroid) -> np.ndarray:
     return lam.astype(np.uint8)
 
 
-def _prefix_dp(lam: np.ndarray, n: int) -> np.ndarray:
-    """B(S) for every subset, layered by cardinality (vectorized per element)."""
+def prefix_dp(cost: np.ndarray, n: int, tie_key) -> tuple:
+    """The layered subset DP B(S) = max(cost[S], min over e in S of
+    B(S - e)), B(empty) = 0, swept by cardinality (vectorized per element),
+    and an optimal order of 0..n-1 walked back to front from the full set:
+    at each step the e with smallest B(S - e), ties by tie_key(e).
+    Returns (B(full set), order)."""
     size = 1 << n
     pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
     B = np.zeros(size, dtype=np.uint8)
@@ -93,8 +98,14 @@ def _prefix_dp(lam: np.ndarray, n: int) -> np.ndarray:
             sub = idx[sel]
             if sub.size:
                 best[sel] = np.minimum(best[sel], B[sub ^ bit])
-        B[idx] = np.maximum(lam[idx], best)
-    return B
+        B[idx] = np.maximum(cost[idx], best)
+    seq = []
+    S = size - 1
+    while S:
+        _, _, e = min((int(B[S ^ (1 << e)]), tie_key(e), e) for e in range(n) if (S >> e) & 1)
+        seq.append(e)
+        S ^= 1 << e
+    return int(B[size - 1]), seq[::-1]
 
 
 def pathwidth_exact(M: VectorMatroid, exact_cap: int = DEFAULT_EXACT_CAP) -> WidthCertificate:
@@ -105,28 +116,13 @@ def pathwidth_exact(M: VectorMatroid, exact_cap: int = DEFAULT_EXACT_CAP) -> Wid
     if n == 0:
         return WidthCertificate(0, (), ())
     lam = _lambda_table(M)
-    B = _prefix_dp(lam, n)
-    # recover the ordering back to front: smallest B(S - e), ties by label
-    seq = []
-    S = (1 << n) - 1
-    while S:
-        best = None
-        for i in range(n):
-            bit = 1 << i
-            if S & bit:
-                cand = (int(B[S ^ bit]), label_key(M.labels[i]), i)
-                if best is None or cand < best:
-                    best = cand
-        i = best[2]
-        seq.append(M.labels[i])
-        S ^= 1 << i
-    ordering = tuple(reversed(seq))
+    width, order = prefix_dp(lam, n, lambda i: label_key(M.labels[i]))
+    ordering = tuple(M.labels[i] for i in order)
     mask = 0
     lambdas = []
-    for lbl in ordering:
-        mask |= 1 << M.position(lbl)
+    for i in order:
+        mask |= 1 << i
         lambdas.append(int(lam[mask]))
-    width = int(B[(1 << n) - 1])
     assert width == max(lambdas), "certificate does not match DP value"
     return WidthCertificate(width, ordering, tuple(lambdas))
 

@@ -58,31 +58,6 @@ class ApexGraph:
     edge_class: dict
     twin: dict
 
-    def class_of(self, label) -> str:
-        return self.edge_class[label]
-
-    def labels_of_class(self, cls: str) -> tuple:
-        return tuple(lbl for lbl in self.base.edge_labels() if self.edge_class[lbl] == cls)
-
-    def base_vertex_count(self) -> int:
-        return self.base.vertex_count - 1
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """Consecutive blocks of an ordering; boundaries are cumulative sizes."""
-
-    blocks: tuple
-
-    @property
-    def boundaries(self) -> tuple:
-        total = 0
-        out = []
-        for blk in self.blocks:
-            total += len(blk)
-            out.append(total)
-        return tuple(out)
-
 
 def simplify_double(G: MultiGraph) -> MultiGraph:
     """Drop loops and replace every parallel class by exactly two edges.

@@ -15,7 +15,7 @@ from . import codes as codesmod
 from . import graph as graphmod
 from . import minors as minorsmod
 from . import reduction as redmod
-from .algebra import GfMatrix, field_new, matrix_to_text
+from .algebra import GfMatrix, field_from_order, field_new, matrix_to_text
 from .graph import MultiGraph, graph_pathwidth, graph_to_text, mk_graph
 from .matroid import VectorMatroid, apply_minor, direct_sum, dual, MinorSpec
 from .pathwidth import caterpillar, branch_width_of_tree, pathwidth_exact, width_of_ordering
@@ -282,7 +282,7 @@ def check_umbrellas(m_max=6, max_parallel=2, field_q=2) -> dict:
 def check_p1q(q=3, n_max=8, samples=500, seed=31) -> dict:
     """The excluded-minor membership test for pathwidth <= 1 agrees with the
     exact solver on seeded random matroids."""
-    field = field_new(q)
+    field = field_from_order(q)
     rng = rng_for(seed)
     violations = []
     for i in range(samples):

@@ -17,10 +17,21 @@ from matwidth.algebra import (
     matrix_from_text,
     matrix_to_text,
     rank,
+    rank_of_columns,
     rref,
     standard_form,
 )
-from util import GF2, GF3, GF5, matrix
+from util import (
+    GF2,
+    GF3,
+    GF5,
+    REF_FIELDS,
+    matrix,
+    ref_dimension,
+    ref_random_rows,
+    ref_rank,
+    ref_row_space,
+)
 
 import numpy as np
 
@@ -142,6 +153,27 @@ def test_rref_preserves_rank_random():
         R, piv = rref(A)
         assert rank(R) == rank(A) == len(piv)
         assert list(piv) == sorted(piv)
+
+
+@pytest.mark.parametrize("field,m_max", REF_FIELDS, ids=lambda x: str(x))
+def test_elimination_matches_row_space_enumeration(field, m_max):
+    rng = np.random.default_rng(field.q)
+    for _ in range(12 if field.q < 16 else 4):
+        m, n = int(rng.integers(0, m_max + 1)), int(rng.integers(1, 7))
+        rows = ref_random_rows(field, m, n, rng)
+        A = GfMatrix(field, rows, cols=n)
+        space = ref_row_space(field, rows, n)
+        r = ref_dimension(field, space)
+        assert rank(A) == r
+        assert rank_of_columns(field, rows) == r
+        assert rank_of_columns(field, A.columns()) == ref_rank(field, A.columns(), m) == r
+        R, piv = rref(A)
+        assert len(piv) == r and list(piv) == sorted(piv)
+        assert ref_row_space(field, R.entries, n) == space
+        for i, p in enumerate(piv):
+            assert R.entries[i][p] == 1 and not any(R.entries[i][:p])
+            assert all(R.entries[j][p] == 0 for j in range(R.rows) if j != i)
+        assert R.rows == m and not any(x for row in R.entries[r:] for x in row)
 
 
 # ---------------------------------------------------------------------------

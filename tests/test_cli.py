@@ -201,3 +201,15 @@ def test_matroid_file_round_trip_via_cli_payload(capsys, u24_file):
     M = matroid_from_text(U24_TEXT)
     assert matroid_to_text(M) == U24_TEXT
     assert payload["certificate"]["width"] == 2
+
+
+def test_verify_p1q_over_extension_field(capsys):
+    code, payload, _ = run(capsys, "verify", "p1q", "--q", "4", "--n", "6", "--samples", "20")
+    assert code == 0
+    assert payload["ok"] is True and payload["params"]["q"] == 4
+
+
+def test_verify_p1q_non_prime_power_is_error(capsys):
+    code, payload, _ = run(capsys, "verify", "p1q", "--q", "6", "--n", "6", "--samples", "20")
+    assert code == 1
+    assert "not a prime power" in payload["error"]

@@ -22,7 +22,8 @@ from matwidth.matroid import (
     matroid_to_text,
 )
 from matwidth.minors import uniform_matroid
-from util import GF2, GF3, GF4, GF5, matroid, u24, uniform_check
+from matwidth.algebra import GfMatrix
+from util import GF2, GF3, GF4, GF5, REF_FIELDS, matroid, ref_random_rows, ref_rank_table, u24, uniform_check
 
 G23_ROWS_GF3 = [(1, 0, 0, 0, 2, 2), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1)]
 
@@ -195,6 +196,31 @@ def test_minor_rank_formula_with_dependent_contract():
         for mask in range(1 << N.size):
             S = [N.labels[i] for i in range(N.size) if (mask >> i) & 1]
             assert N.rank_subset(S) == M.rank_subset(set(S) | X) - rX
+
+
+@pytest.mark.parametrize("field,m_max", REF_FIELDS, ids=lambda x: str(x))
+def test_rank_table_and_minor_identity_match_reference(field, m_max):
+    # tables and minors against ranks counted from enumerated row spaces;
+    # a contract set larger than r(M) is always dependent
+    rng = np.random.default_rng(100 + field.q)
+    dependent = 0
+    for _ in range(6 if field.q < 16 else 2):
+        m, n = int(rng.integers(1, m_max + 1)), int(rng.integers(1, 9))
+        rows = ref_random_rows(field, m, n, rng)
+        M = VectorMatroid(GfMatrix(field, rows, cols=n))
+        ref = ref_rank_table(field, rows, n)
+        assert M.rank_table().tolist() == ref
+        order = [int(i) for i in rng.permutation(n)]
+        cmask = sum(1 << i for i in order[: min(n, ref[-1] + 1)])
+        dmask = int(rng.integers(0, 1 << n)) & ~cmask
+        dependent += ref[cmask] < bin(cmask).count("1")
+        N = apply_minor(M, MinorSpec(frozenset(M.labels_of(cmask)), frozenset(M.labels_of(dmask))))
+        kept = [i for i in range(n) if not ((cmask | dmask) >> i) & 1]
+        N_ref = ref_rank_table(field, N.matrix.entries, N.size)
+        for S in range(1 << N.size):
+            host = sum(1 << kept[t] for t in range(N.size) if (S >> t) & 1)
+            assert N_ref[S] == ref[host | cmask] - ref[cmask]
+    assert dependent
 
 
 def test_overlapping_sets_rejected():

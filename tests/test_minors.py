@@ -8,6 +8,7 @@ from matwidth.graph import cycle_matroid, make_umbrella
 from matwidth.matroid import GroundSetTooLarge, VectorMatroid, direct_sum, dual, is_isomorphic
 from matwidth.minors import (
     HostTooLarge,
+    MinorCertificate,
     UniformNotRepresentable,
     catalog_minor_witness,
     check_fano,
@@ -178,6 +179,48 @@ def test_replay_rejects_bad_certificate():
     assert replay_certificate(host, pattern, bad)  # uniform matroids are transitive
     really_bad = MinorCertificate(frozenset(), frozenset(), {})
     assert not replay_certificate(host, pattern, really_bad)
+
+
+def _u24_plus_coloop_certificate():
+    host = direct_sum(u24(), matroid(GF3, [(1,)]))
+    return host, minor_contains(host, u24())
+
+
+def test_replay_rejects_overlapping_sets():
+    host, cert = _u24_plus_coloop_certificate()
+    bad = MinorCertificate(frozenset([1]), frozenset([1, "1'"]), dict(cert.bijection))
+    assert not replay_certificate(host, u24(), bad)
+
+
+def test_replay_rejects_unknown_label():
+    host, cert = _u24_plus_coloop_certificate()
+    bad = MinorCertificate(frozenset([99]), cert.delete, dict(cert.bijection))
+    assert not replay_certificate(host, u24(), bad)
+
+
+def test_replay_rejects_bijection_onto_wrong_set():
+    host, cert = _u24_plus_coloop_certificate()
+    # one pattern element sent to the deleted coloop instead of its image
+    bad = MinorCertificate(cert.contract, cert.delete, {**cert.bijection, 1: "1'"})
+    assert not replay_certificate(host, u24(), bad)
+    unknown = MinorCertificate(cert.contract, cert.delete, {**cert.bijection, 1: 99})
+    assert not replay_certificate(host, u24(), unknown)
+
+
+def test_replay_never_reads_the_rank_table():
+    host, cert = _u24_plus_coloop_certificate()
+    assert cert.delete == {"1'"}
+    # forge a table with elements 1 and 1' exchanged: the search then deletes
+    # 1 and keeps the coloop, a minor of true rank 3
+    T = host.rank_table()
+    a, b = host.position(1), host.position("1'")
+    forged = np.array([T[m ^ ((((m >> a) ^ (m >> b)) & 1) * ((1 << a) | (1 << b)))]
+                       for m in range(T.size)], dtype=T.dtype)
+    host._rank_table = forged
+    swapped = minor_contains(host, u24())
+    assert swapped.delete == {1}
+    assert replay_certificate(host, u24(), cert)
+    assert not replay_certificate(host, u24(), swapped)
 
 
 # ---------------------------------------------------------------------------

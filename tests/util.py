@@ -1,13 +1,17 @@
 """Independent oracles and small builders shared across the test suite.
 
 These deliberately avoid the library's solver code paths: pathwidth by
-brute force over all orderings, graphic ranks by union-find, and graph
-pathwidth by a state-space search over bounded bag sequences.
+brute force over all orderings, graphic ranks by union-find, graph
+pathwidth by a state-space search over bounded bag sequences, and ranks
+over GF(q) by enumerating row spaces with field arithmetic written here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+
+import numpy as np
 
 from matwidth import field_new
 from matwidth.algebra import GfMatrix
@@ -17,6 +21,10 @@ GF2 = field_new(2)
 GF3 = field_new(3)
 GF4 = field_new(2, 2)
 GF5 = field_new(5)
+GF256 = field_new(2, 8)
+GF243 = field_new(3, 5)
+# fields of the reference comparisons, with the most rows drawn over each
+REF_FIELDS = ((GF2, 4), (GF3, 4), (GF4, 3), (GF5, 3), (GF256, 2), (GF243, 2))
 
 
 def brute_force_pathwidth(M: VectorMatroid) -> int:
@@ -135,3 +143,103 @@ def u24(field=GF3) -> VectorMatroid:
     from matwidth.minors import uniform_matroid
 
     return uniform_matroid(2, 4, field)
+
+
+# ---------------------------------------------------------------------------
+# reference linear algebra: no elimination and no library arithmetic.  Only
+# the element encoding is shared: base-p digits of a code are polynomial
+# coefficients, reduced by the field's monic reduction polynomial.
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_ops(p, k, poly):
+    q = p**k
+
+    def digits(a):
+        return [(a // p**i) % p for i in range(k)]
+
+    def code(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    def mul(a, b):
+        da, db = digits(a), digits(b)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d]
+            for i, m in enumerate(poly):
+                prod[d - k + i] = (prod[d - k + i] - c * m) % p
+        return code(prod[:k])
+
+    add = [[code([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)] for a in range(q)]
+    return add, mul
+
+
+def ref_field_ops(field):
+    """(addition table, multiplication function) of GF(p^k)."""
+    return _ref_ops(field.p, field.k, field.reduction_poly)
+
+
+def ref_scale(field, c, v) -> tuple:
+    _, mul = ref_field_ops(field)
+    return tuple(mul(c, x) for x in v)
+
+
+def ref_add(field, u, v) -> tuple:
+    add, _ = ref_field_ops(field)
+    return tuple([add[x][y] for x, y in zip(u, v)])
+
+
+def ref_row_space(field, rows, n) -> set:
+    """Every vector of the row space: all q^m combinations of the rows (a
+    row already in the span of those before it adds no new combination)."""
+    space = {(0,) * n}
+    for row in rows:
+        if tuple(row) not in space:
+            multiples = {ref_scale(field, c, row) for c in range(field.q)}
+            space = {ref_add(field, s, t) for s in space for t in multiples}
+    return space
+
+
+def ref_dimension(field, space) -> int:
+    """log_q of a subspace's size."""
+    r = 0
+    while field.q**r < len(space):
+        r += 1
+    assert field.q**r == len(space)
+    return r
+
+
+def ref_rank(field, rows, n) -> int:
+    return ref_dimension(field, ref_row_space(field, rows, n))
+
+
+def ref_rank_table(field, rows, n) -> list:
+    """Rank of every column subset S: the words of the row space vanishing on
+    S number q^(k - r(S)), k the row space's dimension."""
+    words = ref_row_space(field, rows, n)
+    k = ref_dimension(field, words)
+    supports = np.array([sum(1 << j for j, x in enumerate(w) if x) for w in words], dtype=np.int64)
+    table = []
+    for S in range(1 << n):
+        vanishing, d = int(np.count_nonzero((supports & S) == 0)), 0
+        while field.q**d < vanishing:
+            d += 1
+        table.append(k - d)
+    return table
+
+
+def ref_random_rows(field, m, n, rng) -> list:
+    """Seeded m x n rows with dependencies planted: the last row may combine
+    the first two, and one column may become a multiple (possibly zero) of
+    another."""
+    rows = [tuple(int(x) for x in rng.integers(0, field.q, n)) for _ in range(m)]
+    if m >= 3 and rng.integers(2):
+        rows[-1] = ref_add(field, rows[0], ref_scale(field, int(rng.integers(1, field.q)), rows[1]))
+    _, mul = ref_field_ops(field)
+    if n >= 3 and rng.integers(2):
+        j, src, c = int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(field.q))
+        rows = [r[:j] + (mul(c, r[src]),) + r[j + 1:] for r in rows]
+    return rows
