@@ -3,10 +3,32 @@
 Ground subsets travel as int bitmasks over column positions (ground sets are
 capped at 64 elements); every public query also accepts an iterable of
 labels.  Rank queries are memoized, and a full rank table over all 2^n
-subsets can be materialized for the exact solvers: subsets are swept in
-numeric order and each step reuses the canonical span (reduced echelon
-basis) of the subset minus its lowest element, so elimination runs only once
-per distinct (span, element) pair.
+subsets can be materialized for the exact solvers.
+
+The table is counted from codeword supports.  With C the row space, of
+dimension k, the words of C vanishing on S form a subspace of dimension
+k - r(S) (the paper's trellis state dimension k - dim C_past - dim C_future
+is this number at a cut), so
+
+    r(S) = k - log_q #{c in C : supp(c) and S disjoint}.
+
+One pass over the codewords counts each support T in a uint32 array f;
+one subset-sum (Yates / zeta) transform, n in-place passes, turns f[T] into
+the number of words supported inside T; the exponent J = log_q f is read
+with m integer comparisons J += (f >= q^j), no float; and r(S) = k - J[E - S],
+the table reversed.  When k > n - k the dual code C-perp (from
+`algebra.orthogonal_complement`) is enumerated instead, and duality gives
+r(S) = |S| - J_perp[S].  Either way q^m words are enumerated,
+m = min(k, n - k), and the working set is about 6 bytes per table entry.
+
+When q^m > COUNT_RATIO * 2^n (COUNT_RATIO = 4) the table is swept instead:
+subsets in numeric order, each step reusing the canonical span (reduced
+echelon basis) of the subset minus its lowest element, so elimination runs
+once per distinct (span, element) pair.  The rule depends on q, n and k
+only (`table_backend`).  The constant is measured (CHANGES.md): on random
+codes of length 8 to 16 with q^m <= 4 * 2^n, counting never took more than
+1.4 times as long as the sweep, the worst case being rank 2 over a large
+field, where the sweep is cheapest; above that ratio it lost by more.
 
 All elimination (spans, ranks, the contraction in `apply_minor`) is the
 kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step
@@ -19,6 +41,7 @@ not, and reads each candidate minor off the host's rank table instead
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +52,12 @@ from .algebra import GfMatrix
 MAX_GROUND = 64
 MAX_TABLE = 26  # 2^26 table entries; exact solvers apply their own caps
 ISO_MAX_GROUND = 12
+# rank tables are counted from codeword supports while q^min(k, n - k) is at
+# most COUNT_RATIO * 2^n, and swept otherwise; words are counted in chunks
+# of at most CHUNK_WORDS
+COUNT_RATIO = 4
+CHUNK_WORDS = 1 << 16
+_PACK_BYTES = np.uint64(0x0102040810204080)
 
 
 class GroundSetTooLarge(ValueError):
@@ -179,13 +208,39 @@ class VectorMatroid:
     # -- full rank table -------------------------------------------------------
 
     def rank_table(self) -> np.ndarray:
-        """Ranks of all 2^n subsets (uint8, indexed by mask)."""
+        """Ranks of all 2^n subsets (uint8, indexed by mask), built by the
+        backend that `table_backend` names for this matroid."""
         if self._rank_table is None:
             n = self.size
             if n > MAX_TABLE:
                 raise GroundSetTooLarge(f"rank table needs 2^{n} entries")
-            self._rank_table = self._sweep_rank_table()
+            if table_backend(self.field.q, n, self.rank_full) == "count":
+                table = self._count_rank_table()
+            else:
+                table = self._sweep_rank_table()
+            table.flags.writeable = False
+            self._rank_table = table
         return self._rank_table
+
+    def _count_rank_table(self) -> np.ndarray:
+        """The table from codeword supports (module docstring)."""
+        n, k, q = self.size, self.rank_full, self.field.q
+        m = min(k, n - k)
+        dual = k > n - k
+        gen = algebra.orthogonal_complement(self.matrix) if dual else algebra.row_basis(self.matrix)
+        # f[T] = words supported inside T, after the subset-sum transform
+        f = _support_counts(self.field, gen.entries, n)
+        for i in range(n):
+            v = f.reshape(-1, 2, 1 << i)
+            v[:, 1, :] += v[:, 0, :]
+        # J = log_q f, exact: f is a power of q no larger than q^m
+        J = np.zeros(1 << n, dtype=np.uint8)
+        for j in range(1, m + 1):
+            J += f >= q**j
+        del f
+        if dual:
+            return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) - J
+        return m - J[::-1]
 
     def _sweep_rank_table(self) -> np.ndarray:
         n = self.size
@@ -224,6 +279,67 @@ class VectorMatroid:
 
     def __repr__(self):
         return f"VectorMatroid({self.field!r}, n={self.size}, rank={self.rank_full})"
+
+
+def table_backend(q: int, n: int, k: int) -> str:
+    """The rank-table backend for a rank-k matroid on n elements over GF(q):
+    "count" when the smaller of the row space and its complement has at
+    most COUNT_RATIO * 2^n words (q^min(k, n - k) of them), else "sweep"."""
+    return "sweep" if q ** min(k, n - k) > COUNT_RATIO << n else "count"
+
+
+@functools.lru_cache(maxsize=None)
+def _field_tables(field) -> tuple:
+    """GF(q) addition and multiplication as read-only q x q uint8 tables."""
+    q = field.q
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+    add.flags.writeable = mul.flags.writeable = False
+    return add, mul
+
+
+def _span_words(field, gens: np.ndarray) -> np.ndarray:
+    """All q^d linear combinations of the d rows of gens, one word a row."""
+    add, mul = _field_tables(field)
+    words = np.zeros((1, gens.shape[1]), dtype=np.uint8)
+    for g in gens:
+        words = add[mul[:, g][:, None, :], words[None, :, :]].reshape(-1, gens.shape[1])
+    return words
+
+
+def _support_counts(field, rows, n: int) -> np.ndarray:
+    """f[T] = the number of words with support T in the row space of
+    linearly independent rows (uint32; at most q^len(rows) < 2^32 words).
+
+    The span is split into an inner part of at most CHUNK_WORDS words and
+    an outer part; each outer word h gives one chunk, the supports of
+    inner - h, which are the coordinates where inner differs from h.
+    Running h over the outer span runs -h over it too, so every word of
+    the row space is counted once."""
+    gens = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+    d = 0
+    while d < len(rows) and field.q ** (d + 1) <= CHUNK_WORDS:
+        d += 1
+    groups = (n + 7) // 8
+    # coordinates padded to whole bytes of the mask; the padding never differs
+    inner = np.zeros((field.q**d, 8 * groups), dtype=np.uint8)
+    inner[:, :n] = _span_words(field, gens[:d])
+    outer = np.zeros(8 * groups, dtype=np.uint8)
+    f = np.zeros(1 << n, dtype=np.uint32)
+    flags = np.empty(inner.shape, dtype=bool)
+    packed = flags.view(np.uint64)
+    masks = np.zeros((len(inner), 4), dtype=np.uint8)
+    for h in _span_words(field, gens[d:]):
+        outer[:n] = h
+        np.not_equal(inner, outer, out=flags)
+        # 8 bytes of 0/1 flags times _PACK_BYTES carry the flags, one a bit,
+        # to the top byte of the product
+        packed *= _PACK_BYTES
+        packed >>= np.uint64(56)
+        masks[:, :groups] = packed
+        words, counts = np.unique(masks.view("<u4")[:, 0], return_counts=True)
+        f[words] += counts.astype(np.uint32)
+    return f
 
 
 def _bit_positions(mask: int):
@@ -305,18 +421,28 @@ def is_isomorphic(M: VectorMatroid, N: VectorMatroid):
     return table_isomorphism(M.rank_table(), M.labels, N.rank_table(), N.labels)
 
 
-def table_isomorphism(TM, labels_m, TN, labels_n):
+def iso_invariants(table, n):
+    """What table_isomorphism compares before it searches, for one table on n
+    elements: the masks of the 1-, 2- and 3-element subsets, the sorted
+    ranks on each of those layers, and the element invariants."""
+    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    layers = tuple(np.flatnonzero(pc == card) for card in range(1, min(3, n) + 1))
+    return layers, tuple(np.sort(table[idx]) for idx in layers), _element_invariants(table, n, layers)
+
+
+def table_isomorphism(TM, labels_m, TN, labels_n, invariants_m=None):
     """is_isomorphic on rank tables over the same number of elements and of
-    equal full rank; labels_*[i] names bit i.  Deterministic: elements are
-    matched in decreasing small-circuit-degree order and images tried in
-    label order."""
+    equal full rank; labels_*[i] names bit i.  A caller matching one table
+    TM against many passes invariants_m = iso_invariants(TM, n) once.
+    Deterministic: elements are matched in decreasing small-circuit-degree
+    order and images tried in label order."""
     n = len(labels_m)
-    for card in range(1, min(3, n) + 1):
-        if _layer_profile(TM, n, card) != _layer_profile(TN, n, card):
+    layers, profile_m, inv_m = invariants_m or iso_invariants(TM, n)
+    for idx, prof in zip(layers, profile_m):
+        if (np.sort(TN[idx]) != prof).any():
             return None
 
-    inv_m = _element_invariants(TM, n)
-    inv_n = _element_invariants(TN, n)
+    inv_n = _element_invariants(TN, n, layers)
     if sorted(inv_m) != sorted(inv_n):
         return None
 
@@ -369,30 +495,16 @@ def table_isomorphism(TM, labels_m, TN, labels_n):
     return {labels_m[i]: labels_n[image[i]] for i in range(n)}
 
 
-def _layer_profile(table, n, card):
-    idx = [m for m in range(1 << n) if bin(m).count("1") == card]
-    return sorted(int(table[m]) for m in idx)
-
-
-def _element_invariants(table, n):
-    inv = []
-    for i in range(n):
-        bit = 1 << i
-        single = int(table[bit])
-        dep_pairs = 0
-        dep_triples = 0
-        for j in range(n):
-            if j == i:
-                continue
-            if table[bit | (1 << j)] < 2:
-                dep_pairs += 1
-            for k in range(j + 1, n):
-                if k == i:
-                    continue
-                if table[bit | (1 << j) | (1 << k)] < 3:
-                    dep_triples += 1
-        inv.append((single, dep_pairs, dep_triples))
-    return inv
+def _element_invariants(table, n, layers):
+    """(rank, dependent pairs through it, dependent triples through it) of
+    each element, from the layer masks of iso_invariants."""
+    bits = 1 << np.arange(n)
+    counts = [table[bits], np.zeros(n, dtype=int), np.zeros(n, dtype=int)]
+    for card in range(2, len(layers) + 1):
+        idx = layers[card - 1]
+        dep = idx[table[idx] < card]
+        counts[card - 1] = np.count_nonzero(dep[:, None] & bits, axis=0)
+    return list(zip(*(c.tolist() for c in counts)))
 
 
 def _circuit_degree_key(inv):

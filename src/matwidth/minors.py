@@ -20,7 +20,14 @@ import numpy as np
 from . import graph as graphmod
 from . import matroid as matroidmod
 from .algebra import FieldSpec, GfMatrix, rank_of_columns
-from .matroid import GroundSetTooLarge, MinorSpec, VectorMatroid, apply_minor, table_isomorphism
+from .matroid import (
+    GroundSetTooLarge,
+    MinorSpec,
+    VectorMatroid,
+    apply_minor,
+    iso_invariants,
+    table_isomorphism,
+)
 from .pathwidth import DEFAULT_EXACT_CAP, pathwidth_exact
 
 HOST_MAX_GROUND = 12
@@ -281,6 +288,7 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid, host_cap: int = 
         return None
     T = host.rank_table()
     T_pat = pattern.rank_table()
+    inv_pat = iso_invariants(T_pat, n_pat)
     full = host.full_mask
     removals = n_host - n_pat
     max_contract = host.rank_full - pattern.rank_full
@@ -298,7 +306,7 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid, host_cap: int = 
                     continue
                 kept = [i for i in range(n_host) if not ((xmask | ymask) >> i) & 1]
                 table = T[_subset_index(kept) | xmask] - c_size
-                bij = table_isomorphism(T_pat, pattern.labels, table, [host.labels[i] for i in kept])
+                bij = table_isomorphism(T_pat, pattern.labels, table, [host.labels[i] for i in kept], inv_pat)
                 if bij is not None:
                     X = frozenset(host.labels[i] for i in X_pos)
                     Y = frozenset(host.labels[i] for i in Y_pos)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .matroid import VectorMatroid, label_key
 
 DEFAULT_EXACT_CAP = 24
@@ -117,14 +118,35 @@ def pathwidth_exact(M: VectorMatroid, exact_cap: int = DEFAULT_EXACT_CAP) -> Wid
         return WidthCertificate(0, (), ())
     lam = _lambda_table(M)
     width, order = prefix_dp(lam, n, lambda i: label_key(M.labels[i]))
-    ordering = tuple(M.labels[i] for i in order)
+    # the certificate's lambdas come from elimination, so the table that
+    # produced the width cannot vouch for itself
+    lambdas = _prefix_lambdas(M, order)
     mask = 0
-    lambdas = []
-    for i in order:
+    for i, lam_i in zip(order, lambdas):
         mask |= 1 << i
-        lambdas.append(int(lam[mask]))
-    assert width == max(lambdas), "certificate does not match DP value"
-    return WidthCertificate(width, ordering, tuple(lambdas))
+        if lam[mask] != lam_i:
+            raise AssertionError(f"rank table gives lambda {lam[mask]} for a prefix, elimination {lam_i}")
+    if width != max(lambdas):
+        raise AssertionError(f"DP width {width} but the ordering has width {max(lambdas)}")
+    return WidthCertificate(width, tuple(M.labels[i] for i in order), tuple(lambdas))
+
+
+def _prefix_lambdas(M: VectorMatroid, order) -> tuple:
+    """lambda of every prefix of an order of column positions, by
+    elimination on the matrix columns: r(prefix) from one echelon_push pass
+    in order, r(E - prefix) from one in reverse order."""
+    cols = M.matrix.columns()
+
+    def ranks(seq):
+        basis, out = [], []
+        for i in seq:
+            algebra.echelon_push(M.field, basis, cols[i])
+            out.append(len(basis))
+        return out
+
+    head = ranks(order)  # head[t] = r(order[: t + 1])
+    tail = ranks(reversed(order))[::-1][1:] + [0]  # tail[t] = r(order[t + 1 :])
+    return tuple(h + t - head[-1] for h, t in zip(head, tail))
 
 
 def pathwidth_upper_greedy(M: VectorMatroid) -> WidthCertificate:

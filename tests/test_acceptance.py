@@ -12,7 +12,8 @@ from matwidth.graph import cycle_matroid, complete_graph, complete_bipartite
 from matwidth.matroid import VectorMatroid, dual
 from matwidth.minors import fano_representation, uniform_matroid, verify_excluded_minor
 from matwidth.pathwidth import pathwidth_exact
-from matwidth.algebra import identity_matrix
+from matwidth.algebra import GfMatrix, identity_matrix
+from matwidth.codes import LinearCode, trellis_width
 
 GF2 = field_new(2)
 GF3 = field_new(3)
@@ -157,3 +158,24 @@ def test_criterion_14_caterpillar_identity():
     t0 = time.time()
     r = verify.check_caterpillar(samples=100, seed=17)
     report(14, r["ok"], f"{r['checked']} random (matroid, ordering) pairs", time.time() - t0, 60.0)
+
+
+def test_criterion_15_golay_trellis_width():
+    # the extended Golay [24,12,8] code: the 12 cyclic shifts of
+    # g(x) = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11 in length 23, each with
+    # an overall parity bit
+    t0 = time.time()
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    rows = []
+    for shift in range(12):
+        row = [0] * shift + g + [0] * (11 - shift)
+        rows.append(row + [sum(row) % 2])
+    cert = trellis_width(LinearCode(GfMatrix(GF2, rows, cols=24)))
+    lams = cert.prefix_lambdas
+    # the code and its dual have distance 8, so any 7 coordinates or fewer,
+    # or all but 7 or fewer, have lambda equal to their count: the profile
+    # rises 1..7 and ends 7..1, 0, with steps of at most one in between
+    ok = (cert.width == 9 and max(lams) == 9 and lams[:7] == (1, 2, 3, 4, 5, 6, 7)
+          and lams[-8:] == (7, 6, 5, 4, 3, 2, 1, 0)
+          and all(abs(a - b) <= 1 for a, b in zip(lams, lams[1:])))
+    report(15, ok, f"tw(Golay24) = {cert.width}, prefix lambdas {list(lams)}", time.time() - t0, 30.0)
