@@ -2,14 +2,19 @@
 
 Field elements are encoded as integers 0..q-1; for extension fields the
 base-p digits of the code are the polynomial coefficients (little-endian:
-digit i is the coefficient of x**i).  All matrix work is exact Gaussian
-elimination driven by the field's arithmetic tables.  No floating point.
+digit i is the coefficient of x**i).  Every field, prime or extension, is
+the same four lookup tables (addition, negation, multiplication, inverse),
+built once when the field is; arithmetic never branches on the field's
+kind.  All matrix work is exact Gaussian elimination reading those tables,
+one multiplication-table row per pivot.  No floating point.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+
+import numpy as np
 
 MAX_FIELD_ORDER = 256
 
@@ -110,109 +115,84 @@ def _find_reduction_poly(p: int, k: int) -> tuple:
 
 
 class FieldSpec:
-    """A finite field GF(p**k), q <= 256, with precomputed arithmetic tables.
+    """A finite field GF(p**k), q <= 256, as four lookup tables.
 
-    Prime fields use direct modular arithmetic; extension fields use
-    log/antilog tables over a fixed reduction polynomial so that products
-    and inverses are constant-time lookups.
+    add_table[a][b], neg_table[a], mul_table[a][b] and inv_table[a] are
+    tuples of element codes, built once per field; every arithmetic method
+    is a lookup, the same for prime and extension fields.  Sums are taken
+    digit by digit mod p; products and inverses come from exp/log tables
+    over a generator of the multiplicative group, and so does `pow`.  Only
+    the construction depends on k: a product of constants for k = 1, a
+    polynomial product mod the reduction polynomial for k > 1.
+    inv_table[0] is a placeholder 0; `inv(0)` raises.
     """
 
     def __init__(self, p: int, k: int, reduction_poly: tuple):
         self.p = p
         self.k = k
-        self.q = p**k
+        self.q = q = p**k
         self.reduction_poly = reduction_poly
-        if k > 1:
-            self._build_tables()
-
-    # -- construction helpers ------------------------------------------------
-
-    def _to_digits(self, code):
-        digits = []
-        for _ in range(self.k):
-            digits.append(code % self.p)
-            code //= self.p
-        return digits
-
-    def _from_digits(self, digits):
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return code
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        prod = _poly_mul(self._to_digits(a), self._to_digits(b), self.p)
-        return self._from_digits(_poly_mod(prod, list(self.reduction_poly), self.p) + [0] * self.k)
-
-    def _build_tables(self):
-        q, p = self.q, self.p
-        gen = None
-        for g in range(2, q):
-            seen = 1
-            x = g
-            while x != 1:
-                x = self._mul_poly(x, g)
-                seen += 1
-            if seen == q - 1:
-                gen = g
-                break
-        assert gen is not None
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._mul_poly(exp[i - 1], gen)
+        digits = np.array([[a // p**i % p for i in range(k)] for a in range(q)])
+        weights = p ** np.arange(k)
+        self.add_table = tuple(map(tuple, ((digits[:, None] + digits) % p @ weights).tolist()))
+        self.neg_table = tuple((-digits % p @ weights).tolist())
+        exp = self._powers_of_generator()
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp = exp
-        self._log = log
-        add = []
-        for a in range(q):
-            da = self._to_digits(a)
-            row = []
-            for b in range(q):
-                db = self._to_digits(b)
-                row.append(self._from_digits([(x + y) % p for x, y in zip(da, db)]))
-            add.append(tuple(row))
-        self._add = tuple(add)
-        self._neg = tuple(self._from_digits([(-d) % p for d in self._to_digits(a)]) for a in range(q))
+        self._exp, self._log = tuple(exp), tuple(log)
+        # exp repeated twice, so that log[a] + log[b] needs no reduction
+        logs = np.array(log)
+        mul = np.array(exp * 2)[logs[:, None] + logs]
+        mul[0, :] = mul[:, 0] = 0
+        self.mul_table = tuple(map(tuple, mul.tolist()))
+        self.inv_table = (0,) + tuple(exp[-log[a] % (q - 1)] for a in range(1, q))
+
+    def _product(self, a: int, b: int) -> int:
+        """a * b for building the tables."""
+        p, k = self.p, self.k
+        if k == 1:
+            return a * b % p
+        prod = _poly_mul([a // p**i % p for i in range(k)], [b // p**i % p for i in range(k)], p)
+        return sum(d * p**i for i, d in enumerate(_poly_mod(prod, self.reduction_poly, p)))
+
+    def _powers_of_generator(self) -> list:
+        """[g^0, g^1, ..., g^(q-2)] for the smallest generator g."""
+        for g in range(1, self.q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = self._product(x, g)
+            if len(powers) == self.q - 1:
+                return powers
+        raise AssertionError(f"GF({self.q}) has no generator")
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        return self._add[a][b]
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self._neg[a]
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add_table[a][self.neg_table[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self.inv_table[a]
 
     def pow(self, a: int, e: int) -> int:
         if e == 0:
             return 1
         if a == 0:
             return 0
-        if self.k == 1:
-            return pow(a, e, self.p)
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def elements(self):
         return range(self.q)
@@ -338,6 +318,8 @@ def zero_matrix(field: FieldSpec, rows: int, cols: int) -> GfMatrix:
 # An echelon basis is a sequence of rows, each led by a 1 (its pivot, found
 # as row.index(1)) and zero at the pivots of the rows before it.  Every rank,
 # span and reduced form in the package is built from the two steps below.
+# Subtracting c times a row y from x reads m = mul_table[-c] once and then
+# add_table[x][m[y]] per entry.
 
 
 def _unit_row(field: FieldSpec, v):
@@ -345,8 +327,8 @@ def _unit_row(field: FieldSpec, v):
     for c in v:
         if c:
             if c != 1:
-                inv = field.inv(c)
-                v = [field.mul(inv, x) for x in v]
+                m = field.mul_table[field.inv_table[c]]
+                v = [m[x] for x in v]
             return tuple(v)
     return None
 
@@ -355,10 +337,12 @@ def reduce_vector(field: FieldSpec, basis, v):
     """Forward step: v less its components along an echelon basis.  The
     result is zero exactly when v lies in the span; otherwise it is zero at
     every basis pivot, so its first nonzero entry is a new pivot."""
+    add, neg, mul = field.add_table, field.neg_table, field.mul_table
     for row in basis:
         c = v[row.index(1)]
         if c:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+            m = mul[neg[c]]
+            v = [add[x][m[y]] for x, y in zip(v, row)]
     return v
 
 
@@ -374,13 +358,15 @@ def canonical_insert(field: FieldSpec, basis: tuple, residue) -> tuple:
     """Canonical step: add a nonzero residue of `reduce_vector` to a reduced
     basis.  The result is the span's reduced row-echelon basis, sorted by
     pivot, so equal spans give equal tuples."""
+    add, neg, mul = field.add_table, field.neg_table, field.mul_table
     v = _unit_row(field, residue)
     p = v.index(1)
     grown = [v]
     for row in basis:
         c = row[p]
         if c:
-            row = tuple(field.sub(x, field.mul(c, y)) for x, y in zip(row, v))
+            m = mul[neg[c]]
+            row = tuple(add[x][m[y]] for x, y in zip(row, v))
         grown.append(row)
     grown.sort(key=lambda row: row.index(1))
     return tuple(grown)

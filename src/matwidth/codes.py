@@ -10,9 +10,11 @@ import itertools
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import algebra, minors
 from .algebra import FieldSpec, GfMatrix
-from .matroid import VectorMatroid
+from .matroid import VectorMatroid, _span_words
 from .pathwidth import (
     DEFAULT_EXACT_CAP,
     NotAPermutation,
@@ -142,19 +144,13 @@ def transform_code(C: LinearCode, perm, diag) -> LinearCode:
 
 
 def _weight_enumerator(C: LinearCode):
+    """Number of codewords of each weight 0..n, or None past 4096 words."""
     basis = algebra.row_basis(C.generator)
-    k = basis.rows
-    if C.field.q**k > 4096:
+    if C.field.q**basis.rows > 4096:
         return None
-    field = C.field
-    counts = [0] * (C.length + 1)
-    for coeffs in itertools.product(range(field.q), repeat=k):
-        word = [0] * C.length
-        for c, row in zip(coeffs, basis.entries):
-            if c:
-                word = [field.add(w, field.mul(c, x)) for w, x in zip(word, row)]
-        counts[sum(1 for x in word if x)] += 1
-    return tuple(counts)
+    gens = np.array(basis.entries, dtype=np.uint8).reshape(basis.rows, C.length)
+    weights = np.count_nonzero(_span_words(C.field, gens), axis=1)
+    return tuple(np.bincount(weights, minlength=C.length + 1).tolist())
 
 
 def are_equivalent(C: LinearCode, C2: LinearCode):

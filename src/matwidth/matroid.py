@@ -41,7 +41,6 @@ not, and reads each candidate minor off the host's rank table instead
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,19 +287,10 @@ def table_backend(q: int, n: int, k: int) -> str:
     return "sweep" if q ** min(k, n - k) > COUNT_RATIO << n else "count"
 
 
-@functools.lru_cache(maxsize=None)
-def _field_tables(field) -> tuple:
-    """GF(q) addition and multiplication as read-only q x q uint8 tables."""
-    q = field.q
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
-    add.flags.writeable = mul.flags.writeable = False
-    return add, mul
-
-
 def _span_words(field, gens: np.ndarray) -> np.ndarray:
     """All q^d linear combinations of the d rows of gens, one word a row."""
-    add, mul = _field_tables(field)
+    add = np.array(field.add_table, dtype=np.uint8)
+    mul = np.array(field.mul_table, dtype=np.uint8)
     words = np.zeros((1, gens.shape[1]), dtype=np.uint8)
     for g in gens:
         words = add[mul[:, g][:, None, :], words[None, :, :]].reshape(-1, gens.shape[1])

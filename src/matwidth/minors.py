@@ -289,6 +289,9 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid, host_cap: int = 
     T = host.rank_table()
     T_pat = pattern.rank_table()
     inv_pat = iso_invariants(T_pat, n_pat)
+    # bits[S, t] = bit t of the pattern mask S; bits @ (1 << kept) expands S
+    # to the host mask with bit kept[t] set for each bit t of S
+    bits = (np.arange(1 << n_pat)[:, None] >> np.arange(n_pat)) & 1
     full = host.full_mask
     removals = n_host - n_pat
     max_contract = host.rank_full - pattern.rank_full
@@ -305,21 +308,13 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid, host_cap: int = 
                 if T[full ^ ymask] - c_size != pattern.rank_full:
                     continue
                 kept = [i for i in range(n_host) if not ((xmask | ymask) >> i) & 1]
-                table = T[_subset_index(kept) | xmask] - c_size
+                table = T[bits @ (1 << np.array(kept, dtype=np.intp)) | xmask] - c_size
                 bij = table_isomorphism(T_pat, pattern.labels, table, [host.labels[i] for i in kept], inv_pat)
                 if bij is not None:
                     X = frozenset(host.labels[i] for i in X_pos)
                     Y = frozenset(host.labels[i] for i in Y_pos)
                     return MinorCertificate(X, Y, bij)
     return None
-
-
-def _subset_index(positions) -> np.ndarray:
-    """idx[S] = the host mask with bit positions[t] set for each bit t of S."""
-    idx = np.zeros(1, dtype=np.intp)
-    for pos in positions:
-        idx = np.concatenate((idx, idx | (1 << pos)))
-    return idx
 
 
 def replay_certificate(host: VectorMatroid, pattern: VectorMatroid, cert: MinorCertificate) -> bool:

@@ -64,15 +64,24 @@ def _check_permutation(M: VectorMatroid, ordering) -> tuple:
 
 
 def width_of_ordering(M: VectorMatroid, ordering) -> WidthCertificate:
-    """Certificate for w_M(e_1..e_n) = max over prefixes of lambda."""
+    """Certificate for w_M(e_1..e_n) = max over prefixes of lambda, by
+    elimination on the matrix columns and never a rank table: r(prefix)
+    from one echelon_push pass in order, r(E - prefix) from one in reverse
+    order."""
     ordering = _check_permutation(M, ordering)
-    mask = 0
-    lambdas = []
-    for lbl in ordering:
-        mask |= 1 << M.position(lbl)
-        lambdas.append(M.connectivity(mask))
-    width = max(lambdas, default=0)
-    return WidthCertificate(width, ordering, tuple(lambdas))
+    cols = [M.matrix.column(M.position(lbl)) for lbl in ordering]
+
+    def ranks(seq):
+        basis, out = [], []
+        for col in seq:
+            algebra.echelon_push(M.field, basis, col)
+            out.append(len(basis))
+        return out
+
+    head = ranks(cols)  # head[t] = r(ordering[: t + 1])
+    tail = ranks(reversed(cols))[::-1][1:] + [0]  # tail[t] = r(ordering[t + 1 :])
+    lambdas = tuple(h + t - M.rank_full for h, t in zip(head, tail))
+    return WidthCertificate(max(lambdas, default=0), ordering, lambdas)
 
 
 def _lambda_table(M: VectorMatroid) -> np.ndarray:
@@ -86,19 +95,23 @@ def prefix_dp(cost: np.ndarray, n: int, tie_key) -> tuple:
     B(S - e)), B(empty) = 0, swept by cardinality (vectorized per element),
     and an optimal order of 0..n-1 walked back to front from the full set:
     at each step the e with smallest B(S - e), ties by tie_key(e).
-    Returns (B(full set), order)."""
+    Returns (B(full set), order).
+
+    Every cost must be below 255 (lambda <= 64 on a matroid, at most 16 on
+    a graph's vertex boundary).  B starts at 255 outside the empty set, so
+    each layer takes its min over every e: for e not in S, S ^ e lies in the
+    next layer, still 255, and never wins."""
     size = 1 << n
     pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
-    B = np.zeros(size, dtype=np.uint8)
+    B = np.full(size, 255, dtype=np.uint8)
+    B[0] = 0
     for card in range(1, n + 1):
-        idx = np.nonzero(pc == card)[0]
+        idx = np.flatnonzero(pc == card)
         best = np.full(idx.size, 255, dtype=np.uint8)
         for e in range(n):
-            bit = 1 << e
-            sel = (idx & bit) != 0
-            sub = idx[sel]
-            if sub.size:
-                best[sel] = np.minimum(best[sel], B[sub ^ bit])
+            idx ^= 1 << e
+            np.minimum(best, B[idx], out=best)
+            idx ^= 1 << e
         B[idx] = np.maximum(cost[idx], best)
     seq = []
     S = size - 1
@@ -120,33 +133,15 @@ def pathwidth_exact(M: VectorMatroid, exact_cap: int = DEFAULT_EXACT_CAP) -> Wid
     width, order = prefix_dp(lam, n, lambda i: label_key(M.labels[i]))
     # the certificate's lambdas come from elimination, so the table that
     # produced the width cannot vouch for itself
-    lambdas = _prefix_lambdas(M, order)
+    cert = width_of_ordering(M, [M.labels[i] for i in order])
     mask = 0
-    for i, lam_i in zip(order, lambdas):
+    for i, lam_i in zip(order, cert.prefix_lambdas):
         mask |= 1 << i
         if lam[mask] != lam_i:
             raise AssertionError(f"rank table gives lambda {lam[mask]} for a prefix, elimination {lam_i}")
-    if width != max(lambdas):
-        raise AssertionError(f"DP width {width} but the ordering has width {max(lambdas)}")
-    return WidthCertificate(width, tuple(M.labels[i] for i in order), tuple(lambdas))
-
-
-def _prefix_lambdas(M: VectorMatroid, order) -> tuple:
-    """lambda of every prefix of an order of column positions, by
-    elimination on the matrix columns: r(prefix) from one echelon_push pass
-    in order, r(E - prefix) from one in reverse order."""
-    cols = M.matrix.columns()
-
-    def ranks(seq):
-        basis, out = [], []
-        for i in seq:
-            algebra.echelon_push(M.field, basis, cols[i])
-            out.append(len(basis))
-        return out
-
-    head = ranks(order)  # head[t] = r(order[: t + 1])
-    tail = ranks(reversed(order))[::-1][1:] + [0]  # tail[t] = r(order[t + 1 :])
-    return tuple(h + t - head[-1] for h, t in zip(head, tail))
+    if width != cert.width:
+        raise AssertionError(f"DP width {width} but the ordering has width {cert.width}")
+    return cert
 
 
 def pathwidth_upper_greedy(M: VectorMatroid) -> WidthCertificate:

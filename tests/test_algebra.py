@@ -26,6 +26,7 @@ from util import (
     GF3,
     GF5,
     REF_FIELDS,
+    _ref_ops,
     matrix,
     ref_dimension,
     ref_random_rows,
@@ -80,6 +81,24 @@ def test_field_axioms_exhaustive(p, k):
     for a, b in itertools.product(range(q), repeat=2):
         assert f.add(a, b) == f.add(b, a)
         assert f.mul(a, b) == f.mul(b, a)
+
+
+@pytest.mark.parametrize("field", [f for f, _ in REF_FIELDS], ids=str)
+def test_tables_match_reference_arithmetic(field):
+    add, mul = _ref_ops(field.p, field.k, field.reduction_poly)
+    q = field.q
+    assert field.add_table == tuple(tuple(row) for row in add)
+    assert field.mul_table == tuple(tuple(mul(a, b) for b in range(q)) for a in range(q))
+    assert field.neg_table == tuple(add[a].index(0) for a in range(q))
+    mul_table = field.mul_table
+    assert field.inv_table[1:] == tuple(mul_table[a].index(1) for a in range(1, q))
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+    for a in range(q):
+        power = 1
+        for e in range(4):
+            assert field.pow(a, e) == power
+            power = mul(power, a)
 
 
 def test_field_from_order():

@@ -2,6 +2,7 @@
 witnesses, trellis-width, state profiles, and the catalog generators."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from matwidth.codes import (
     LinearCode,
     UnknownLabel,
     UnknownName,
+    _weight_enumerator,
     are_equivalent,
     catalog_code,
     code_from_text,
@@ -29,7 +31,7 @@ from matwidth.codes import (
 )
 from matwidth.graph import complete_graph, cycle_matroid
 from matwidth.matroid import is_isomorphic
-from util import GF2, GF3, GF5, matrix, uniform_check
+from util import GF2, GF3, GF5, REF_FIELDS, matrix, ref_random_rows, ref_row_space, uniform_check
 
 REP31 = LinearCode(matrix(GF2, [(1, 1, 1)]))
 
@@ -236,6 +238,29 @@ def test_state_profile_ck4_triangle_first():
 
 # ---------------------------------------------------------------------------
 # equivalence
+
+
+@pytest.mark.parametrize("field,m_max", REF_FIELDS, ids=lambda x: str(x))
+def test_weight_enumerator_matches_row_space(field, m_max):
+    rng = np.random.default_rng(field.q + 1)
+    for m in range(m_max + 1):
+        n = int(rng.integers(1, 7))
+        rows = ref_random_rows(field, m, n, rng)
+        C = LinearCode(algebra.GfMatrix(field, rows, cols=n))
+        if field.q**C.dim > 4096:
+            assert _weight_enumerator(C) is None
+            continue
+        counts = [0] * (n + 1)
+        for word in ref_row_space(field, rows, n):
+            counts[sum(1 for x in word if x)] += 1
+        assert _weight_enumerator(C) == tuple(counts)
+
+
+def test_weight_enumerator_cap():
+    # 2^12 = 4096 codewords are enumerated, 2^13 are not
+    full = LinearCode(algebra.identity_matrix(GF2, 12))
+    assert _weight_enumerator(full) == tuple(math.comb(12, w) for w in range(13))
+    assert _weight_enumerator(LinearCode(algebra.identity_matrix(GF2, 13))) is None
 
 
 def test_equivalent_to_itself():

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from matwidth.algebra import identity_matrix
+from matwidth.algebra import identity_matrix, rank_of_columns
 from matwidth.graph import complete_graph, cycle_matroid
 from matwidth.matroid import VectorMatroid, direct_sum, dual
 from matwidth.pathwidth import (
@@ -19,6 +19,7 @@ from matwidth.pathwidth import (
     caterpillar,
     pathwidth_exact,
     pathwidth_upper_greedy,
+    prefix_dp,
     width_of_ordering,
 )
 from util import GF2, GF3, brute_force_pathwidth, graphic_lambda, matroid, u24
@@ -133,6 +134,48 @@ def test_certificate_ordering_attains_width():
         again = width_of_ordering(M, cert.ordering)
         assert again.width == cert.width
         assert again.prefix_lambdas == cert.prefix_lambdas
+
+
+def test_width_of_ordering_ignores_the_rank_table():
+    # the prefix lambdas come from elimination: a forged table changes nothing
+    rng = np.random.default_rng(29)
+    M = random_matroid(rng, GF3, 7)
+    pi = list(M.labels)
+    before = width_of_ordering(M, pi)
+    M.rank_table()
+    M._rank_table = np.zeros(1 << M.size, dtype=np.uint8)
+    assert width_of_ordering(M, pi) == before
+    cols = M.matrix.columns()
+    mask = 0
+    for lbl, lam in zip(pi, before.prefix_lambdas):
+        mask |= 1 << M.position(lbl)
+        inside = [cols[i] for i in range(M.size) if (mask >> i) & 1]
+        outside = [cols[i] for i in range(M.size) if not (mask >> i) & 1]
+        r = rank_of_columns(GF3, inside) + rank_of_columns(GF3, outside) - M.rank_full
+        assert lam == r
+
+
+def _dict_prefix_dp(cost, n, tie_key):
+    """prefix_dp by a dictionary over subsets, the same recurrence and tie rule."""
+    B = {0: 0}
+    for S in sorted(range(1, 1 << n), key=lambda S: bin(S).count("1")):
+        B[S] = max(int(cost[S]), min(B[S ^ (1 << e)] for e in range(n) if (S >> e) & 1))
+    order, S = [], (1 << n) - 1
+    while S:
+        e = min((e for e in range(n) if (S >> e) & 1), key=lambda e: (B[S ^ (1 << e)], tie_key(e), e))
+        order.append(e)
+        S ^= 1 << e
+    return B[(1 << n) - 1], order[::-1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_prefix_dp_matches_dictionary_dp(n):
+    rng = np.random.default_rng(100 + n)
+    for top in (1, 2, 3, 6):
+        cost = rng.integers(0, top + 1, 1 << n).astype(np.uint8)
+        rank = rng.permutation(n)
+        for tie_key in (lambda e: 0, lambda e: int(rank[e])):
+            assert prefix_dp(cost, n, tie_key) == _dict_prefix_dp(cost, n, tie_key)
 
 
 def test_exact_cap_enforced():
