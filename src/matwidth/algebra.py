@@ -125,6 +125,9 @@ class FieldSpec:
     the construction depends on k: a product of constants for k = 1, a
     polynomial product mod the reduction polynomial for k > 1.
     inv_table[0] is a placeholder 0; `inv(0)` raises.
+
+    add_array, neg_array, mul_array and inv_array are the same four tables
+    as read-only uint8 numpy arrays, for the vectorised consumers.
     """
 
     def __init__(self, p: int, k: int, reduction_poly: tuple):
@@ -134,8 +137,10 @@ class FieldSpec:
         self.reduction_poly = reduction_poly
         digits = np.array([[a // p**i % p for i in range(k)] for a in range(q)])
         weights = p ** np.arange(k)
-        self.add_table = tuple(map(tuple, ((digits[:, None] + digits) % p @ weights).tolist()))
-        self.neg_table = tuple((-digits % p @ weights).tolist())
+        add = (digits[:, None] + digits) % p @ weights
+        neg = -digits % p @ weights
+        self.add_table = tuple(map(tuple, add.tolist()))
+        self.neg_table = tuple(neg.tolist())
         exp = self._powers_of_generator()
         log = [0] * q
         for i, v in enumerate(exp):
@@ -147,6 +152,9 @@ class FieldSpec:
         mul[0, :] = mul[:, 0] = 0
         self.mul_table = tuple(map(tuple, mul.tolist()))
         self.inv_table = (0,) + tuple(exp[-log[a] % (q - 1)] for a in range(1, q))
+        self.add_array, self.neg_array, self.mul_array, self.inv_array = (
+            _frozen_u8(t) for t in (add, neg, mul, self.inv_table)
+        )
 
     def _product(self, a: int, b: int) -> int:
         """a * b for building the tables."""
@@ -208,6 +216,12 @@ class FieldSpec:
 
     def __repr__(self):
         return f"GF({self.q})" if self.k == 1 else f"GF({self.p}^{self.k})"
+
+
+def _frozen_u8(table) -> np.ndarray:
+    arr = np.array(table, dtype=np.uint8)
+    arr.flags.writeable = False
+    return arr
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,7 +331,8 @@ def zero_matrix(field: FieldSpec, rows: int, cols: int) -> GfMatrix:
 #
 # An echelon basis is a sequence of rows, each led by a 1 (its pivot, found
 # as row.index(1)) and zero at the pivots of the rows before it.  Every rank,
-# span and reduced form in the package is built from the two steps below.
+# span and reduced form in the package is built from the two steps below, or
+# from their batched forms `reduce_batch` and `unit_rows` on numpy arrays.
 # Subtracting c times a row y from x reads m = mul_table[-c] once and then
 # add_table[x][m[y]] per entry.
 
@@ -352,6 +367,36 @@ def echelon_push(field: FieldSpec, basis: list, v) -> None:
     row = _unit_row(field, reduce_vector(field, basis, v))
     if row is not None:
         basis.append(row)
+
+
+def reduce_batch(field: FieldSpec, bases, pivots, ranks, v) -> np.ndarray:
+    """`reduce_vector` for a batch of N echelon bases at once.
+
+    bases (N, m, m) and v (m,) or (N, m) are uint8 arrays of element codes;
+    pivots (N, m) holds each row's pivot and ranks (N,) each basis's rank,
+    with zero rows past the rank (whose pivots are ignored).  Returns the
+    (N, m) residues, one pass in row order as in `reduce_vector`: row j
+    subtracts c times itself, c the residue's entry at row j's pivot, as
+    add[x, mul[neg[c], y]] through flat table gathers at uint16 indices
+    (q^2 <= 65536)."""
+    q = field.q
+    add, mul = field.add_array.ravel(), field.mul_array.ravel()
+    v = np.broadcast_to(v, bases.shape[:2])
+    for j in range(int(ranks.max())):
+        c = np.take_along_axis(v, pivots[:, j, None], axis=1)
+        step = mul[field.neg_array[c] * np.uint16(q) + bases[:, j]]
+        idx = v * np.uint16(q)
+        idx += step
+        v = add[idx]
+    return np.array(v)
+
+
+def unit_rows(field: FieldSpec, rows) -> tuple:
+    """`_unit_row` for a batch of nonzero uint8 rows: the rows scaled so
+    that each leads with 1, and the index of that 1 in each."""
+    lead = (rows != 0).argmax(axis=1)
+    c = np.take_along_axis(rows, lead[:, None], axis=1)
+    return field.mul_array.ravel()[field.inv_array[c] * np.uint16(field.q) + rows], lead
 
 
 def canonical_insert(field: FieldSpec, basis: tuple, residue) -> tuple:

@@ -5,34 +5,49 @@ capped at 64 elements); every public query also accepts an iterable of
 labels.  Rank queries are memoized, and a full rank table over all 2^n
 subsets can be materialized for the exact solvers.
 
-The table is counted from codeword supports.  With C the row space, of
-dimension k, the words of C vanishing on S form a subspace of dimension
-k - r(S) (the paper's trellis state dimension k - dim C_past - dim C_future
-is this number at a cut), so
+Both backends build the table of N, the column matroid of an m x n
+generator: of the row space C (dimension k) when k <= n - k, else of its
+dual C-perp (from `algebra.orthogonal_complement`), so m = min(k, n - k).
+N is M itself on the first route; on the second r_M(S) = |S| + r_N(E - S)
+- m, applied once to N's table.
 
-    r(S) = k - log_q #{c in C : supp(c) and S disjoint}.
+Counting reads N's table off codeword supports.  The words of the row
+space of the generator vanishing on S form a subspace of dimension
+m - r_N(S) (the paper's trellis state dimension k - dim C_past - dim
+C_future is this number at a cut), so
 
-One pass over the codewords counts each support T in a uint32 array f;
+    r_N(S) = m - log_q #{c : supp(c) and S disjoint}.
+
+One pass over the q^m words counts each support T in a uint32 array f;
 one subset-sum (Yates / zeta) transform, n in-place passes, turns f[T] into
 the number of words supported inside T; the exponent J = log_q f is read
-with m integer comparisons J += (f >= q^j), no float; and r(S) = k - J[E - S],
-the table reversed.  When k > n - k the dual code C-perp (from
-`algebra.orthogonal_complement`) is enumerated instead, and duality gives
-r(S) = |S| - J_perp[S].  Either way q^m words are enumerated,
-m = min(k, n - k), and the working set is about 6 bytes per table entry.
+with m integer comparisons J += (f >= q^j), no float; and r_N(S) =
+m - J[E - S], the table reversed.  The working set is about 6 bytes per
+table entry.
 
-When q^m > COUNT_RATIO * 2^n (COUNT_RATIO = 4) the table is swept instead:
-subsets in numeric order, each step reusing the canonical span (reduced
-echelon basis) of the subset minus its lowest element, so elimination runs
-once per distinct (span, element) pair.  The rule depends on q, n and k
-only (`table_backend`).  The constant is measured (CHANGES.md): on random
-codes of length 8 to 16 with q^m <= 4 * 2^n, counting never took more than
-1.4 times as long as the sweep, the worst case being rank 2 over a large
-field, where the sweep is cheapest; above that ratio it lost by more.
+The sweep doubles batches of echelon bases one element at a time: the
+bases of the subsets of elements 0..i-1 reduce column i all at once
+(`algebra.reduce_batch`), the rank grows by one wherever the residue is
+nonzero, and the subsets containing i get copies of the bases with the
+residue, scaled to lead with 1, appended.  Bases are m x m uint8 arrays,
+m <= n/2.  Only the low a = min(n, 16) elements are doubled, so at most
+CHUNK_WORDS = 2^16 bases are in flight; each subset H of the other n - a
+elements seeds one doubling with its basis and fills the block
+[H * 2^a, (H + 1) * 2^a).  The working set is the uint8 table plus one
+block of bases: tracemalloc peaks 1.3 MB over the 1 MB table for a
+rank-3 code on 20 elements, 4.7 MB over it for a [20, 8] code over GF(17).
+
+The sweep runs when q^m > COUNT_RATIO * 2^n (COUNT_RATIO = 4): a rule on
+q, n and k only (`table_backend`).  Against the vectorised sweep no
+single ratio is the crossover for every m (BENCH_6.json): at ratio 4
+counting took from 0.4 to 2.3 times as long as the sweep, the worst case
+being rank 2 over GF(256), while at ratio 5.1 it still won for rank 4
+over GF(17).  A rule on (q, n, m) is left open.
 
 All elimination (spans, ranks, the contraction in `apply_minor`) is the
-kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step
-and `canonical_insert` where a canonical basis is needed.  `apply_minor`
+kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step,
+their batched forms `reduce_batch` / `unit_rows` for the sweep, and
+`canonical_insert` where a canonical basis is needed.  `apply_minor`
 builds a new matrix for callers that need a matroid; the minor search does
 not, and reads each candidate minor off the host's rank table instead
 (r_{M/X\\Y}(S) = r_M(S + X) - r_M(X), a table gather) and matches it with
@@ -53,7 +68,7 @@ MAX_TABLE = 26  # 2^26 table entries; exact solvers apply their own caps
 ISO_MAX_GROUND = 12
 # rank tables are counted from codeword supports while q^min(k, n - k) is at
 # most COUNT_RATIO * 2^n, and swept otherwise; words are counted in chunks
-# of at most CHUNK_WORDS
+# of at most CHUNK_WORDS, and the sweep holds at most CHUNK_WORDS bases
 COUNT_RATIO = 4
 CHUNK_WORDS = 1 << 16
 _PACK_BYTES = np.uint64(0x0102040810204080)
@@ -223,58 +238,27 @@ class VectorMatroid:
 
     def _count_rank_table(self) -> np.ndarray:
         """The table from codeword supports (module docstring)."""
-        n, k, q = self.size, self.rank_full, self.field.q
-        m = min(k, n - k)
-        dual = k > n - k
-        gen = algebra.orthogonal_complement(self.matrix) if dual else algebra.row_basis(self.matrix)
-        # f[T] = words supported inside T, after the subset-sum transform
-        f = _support_counts(self.field, gen.entries, n)
-        for i in range(n):
-            v = f.reshape(-1, 2, 1 << i)
-            v[:, 1, :] += v[:, 0, :]
-        # J = log_q f, exact: f is a power of q no larger than q^m
-        J = np.zeros(1 << n, dtype=np.uint8)
-        for j in range(1, m + 1):
-            J += f >= q**j
-        del f
-        if dual:
-            return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) - J
-        return m - J[::-1]
+        return self._table_from(_count_ranks)
 
     def _sweep_rank_table(self) -> np.ndarray:
-        n = self.size
-        field = self.field
-        cols = self._cols
-        size = 1 << n
-        # interned canonical spans: reduced bases from algebra.canonical_insert
-        state_rank = [0]
-        trans: list[dict] = [{}]
-        states = {(): 0}
-        sigs = [()]
-        spans = [0] * size
-        ranks = bytearray(size)
-        for S in range(1, size):
-            low_bit = S & -S
-            prev = spans[S ^ low_bit]
-            e = low_bit.bit_length() - 1
-            t = trans[prev].get(e)
-            if t is None:
-                residue = algebra.reduce_vector(field, sigs[prev], cols[e])
-                if not any(residue):
-                    t = prev
-                else:
-                    sig = algebra.canonical_insert(field, sigs[prev], residue)
-                    t = states.get(sig)
-                    if t is None:
-                        t = len(sigs)
-                        states[sig] = t
-                        sigs.append(sig)
-                        state_rank.append(len(sig))
-                        trans.append({})
-                trans[prev][e] = t
-            spans[S] = t
-            ranks[S] = state_rank[t]
-        return np.frombuffer(bytes(ranks), dtype=np.uint8)
+        """The table from the doubling sweep (module docstring)."""
+        return self._table_from(_sweep_ranks)
+
+    def _table_from(self, column_ranks) -> np.ndarray:
+        """M's table from the table that column_ranks(field, gens) builds for
+        N, the column matroid of an m x n generator: of the row space when
+        k <= n - k, of its complement otherwise, so m = min(k, n - k)."""
+        n, k = self.size, self.rank_full
+        dual = k > n - k
+        gen = algebra.orthogonal_complement(self.matrix) if dual else algebra.row_basis(self.matrix)
+        table = column_ranks(self.field, np.array(gen.entries, dtype=np.uint8).reshape(gen.rows, n))
+        if dual:
+            # r_M(S) = |S| + r_N(E - S) - m, |S| added one element at a time
+            table = table[::-1].copy()
+            for i in range(n):
+                table.reshape(-1, 2, 1 << i)[:, 1, :] += 1
+            table -= gen.rows
+        return table
 
     def __repr__(self):
         return f"VectorMatroid({self.field!r}, n={self.size}, rank={self.rank_full})"
@@ -289,26 +273,42 @@ def table_backend(q: int, n: int, k: int) -> str:
 
 def _span_words(field, gens: np.ndarray) -> np.ndarray:
     """All q^d linear combinations of the d rows of gens, one word a row."""
-    add = np.array(field.add_table, dtype=np.uint8)
-    mul = np.array(field.mul_table, dtype=np.uint8)
+    add, mul = field.add_array, field.mul_array
     words = np.zeros((1, gens.shape[1]), dtype=np.uint8)
     for g in gens:
         words = add[mul[:, g][:, None, :], words[None, :, :]].reshape(-1, gens.shape[1])
     return words
 
 
-def _support_counts(field, rows, n: int) -> np.ndarray:
-    """f[T] = the number of words with support T in the row space of
-    linearly independent rows (uint32; at most q^len(rows) < 2^32 words).
+def _count_ranks(field, gens: np.ndarray) -> np.ndarray:
+    """r(S) = m - J[E - S] for the column matroid of m independent rows
+    gens, J = log_q of the words of their span supported inside a set."""
+    m, n = gens.shape
+    # f[T] = words supported inside T, after the subset-sum transform
+    f = _support_counts(field, gens)
+    for i in range(n):
+        v = f.reshape(-1, 2, 1 << i)
+        v[:, 1, :] += v[:, 0, :]
+    # J = log_q f, exact: f is a power of q no larger than q^m
+    J = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(1, m + 1):
+        J += f >= field.q**j
+    del f
+    return m - J[::-1]
+
+
+def _support_counts(field, gens: np.ndarray) -> np.ndarray:
+    """f[T] = the number of words with support T in the row space of the
+    linearly independent rows of gens (uint32; q^rows < 2^32 words).
 
     The span is split into an inner part of at most CHUNK_WORDS words and
     an outer part; each outer word h gives one chunk, the supports of
     inner - h, which are the coordinates where inner differs from h.
     Running h over the outer span runs -h over it too, so every word of
     the row space is counted once."""
-    gens = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+    rows, n = gens.shape
     d = 0
-    while d < len(rows) and field.q ** (d + 1) <= CHUNK_WORDS:
+    while d < rows and field.q ** (d + 1) <= CHUNK_WORDS:
         d += 1
     groups = (n + 7) // 8
     # coordinates padded to whole bytes of the mask; the padding never differs
@@ -330,6 +330,54 @@ def _support_counts(field, rows, n: int) -> np.ndarray:
         words, counts = np.unique(masks.view("<u4")[:, 0], return_counts=True)
         f[words] += counts.astype(np.uint32)
     return f
+
+
+def _sweep_ranks(field, gens: np.ndarray) -> np.ndarray:
+    """The ranks of every subset of the columns of gens (m x n): batches of
+    echelon bases doubled over the low a = min(n, log2 CHUNK_WORDS)
+    columns; each subset H of the other columns seeds one doubling with its
+    basis and fills the block [H * 2^a, (H + 1) * 2^a)."""
+    m, n = gens.shape
+    table = np.zeros(1 << n, dtype=np.uint8)
+    if m == 0:
+        return table
+    cols = np.ascontiguousarray(gens.T)
+    a = min(n, CHUNK_WORDS.bit_length() - 1)
+    for high in range(1 << (n - a)):
+        basis = []
+        for i in _bit_positions(high):
+            algebra.echelon_push(field, basis, cols[a + i].tolist())
+        _double(field, cols[:a], basis, table[high << a : (high + 1) << a])
+    return table
+
+
+def _double(field, cols: np.ndarray, basis: list, out: np.ndarray) -> None:
+    """out[S] = dim span(basis + the columns of S) for every subset S of
+    cols.  The bases of the subsets of cols[:i] reduce cols[i] all at once
+    (`algebra.reduce_batch`); the rank grows where the residue is nonzero,
+    and the upper half gets copies of the bases with that residue, scaled
+    to lead with 1, appended.  The last column needs ranks only, so at most
+    2^(len(cols) - 1) bases of m x m bytes are built."""
+    m = cols.shape[1]
+    bases = np.zeros((1, m, m), dtype=np.uint8)
+    pivots = np.zeros((1, m), dtype=np.uint8)
+    for j, row in enumerate(basis):
+        bases[0, j] = row
+        pivots[0, j] = row.index(1)
+    out[0] = len(basis)
+    for i, col in enumerate(cols):
+        ranks = out[: 1 << i]
+        residue = algebra.reduce_batch(field, bases, pivots, ranks, col)
+        grew = residue.any(axis=1)
+        out[1 << i : 2 << i] = ranks + grew
+        if i + 1 == len(cols):
+            break
+        s = np.flatnonzero(grew)
+        rows, lead = algebra.unit_rows(field, residue[s])
+        bases = np.concatenate([bases, bases])
+        pivots = np.concatenate([pivots, pivots])
+        bases[(1 << i) + s, ranks[s]] = rows
+        pivots[(1 << i) + s, ranks[s]] = lead
 
 
 def _bit_positions(mask: int):

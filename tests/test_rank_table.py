@@ -2,7 +2,9 @@
 
 Both are compared with per-subset elimination (`rank_of_columns`) and, for
 n <= 8, with the reference ranks of `util`, on seeded matrices over every
-field family; the selection rule is checked on both sides of its threshold.
+field family; past 16 elements, where the sweep runs one doubling per
+subset of the high elements, the counted table is the reference.  The
+selection rule is checked on both sides of its threshold.
 """
 
 import tracemalloc
@@ -11,10 +13,12 @@ import numpy as np
 import pytest
 
 from matwidth import field_new
-from matwidth.algebra import GfMatrix, identity_matrix, rank_of_columns
+from matwidth.algebra import (GfMatrix, echelon_push, identity_matrix, rank_of_columns,
+                              reduce_batch, reduce_vector, unit_rows)
 from matwidth.matroid import CHUNK_WORDS, VectorMatroid, table_backend
 from matwidth.pathwidth import pathwidth_exact
-from util import GF2, GF243, GF256, REF_FIELDS, matroid, ref_random_rows, ref_rank_table
+from util import (GF2, GF3, GF5, GF243, GF256, REF_FIELDS, matroid, ref_random_rows,
+                  ref_rank_table)
 
 
 def elimination_table(M) -> list:
@@ -150,3 +154,75 @@ def test_pathwidth_refuses_a_forged_rank_table():
     M._rank_table = forged
     with pytest.raises(AssertionError):
         pathwidth_exact(M)
+
+
+@pytest.mark.parametrize("field", [f for f, _ in REF_FIELDS], ids=str)
+def test_reduce_batch_matches_reduce_vector(field):
+    # N random echelon bases of every rank 0..m, stored as the sweep stores
+    # them (zero rows past the rank), against the scalar kernel row by row
+    m, N = 5, 40
+    rng = np.random.default_rng(900 + field.q)
+    bases = np.zeros((N, m, m), dtype=np.uint8)
+    pivots = np.zeros((N, m), dtype=np.uint8)
+    ranks = np.zeros(N, dtype=np.uint8)
+    scalar = []
+    for t in range(N):
+        basis = []
+        for row in ref_random_rows(field, t % (m + 1), m, rng):
+            echelon_push(field, basis, row)
+        for j, row in enumerate(basis):
+            bases[t, j], pivots[t, j] = row, row.index(1)
+        ranks[t] = len(basis)
+        scalar.append(basis)
+    vs = np.array(ref_random_rows(field, N, m, rng), dtype=np.uint8)
+    vs[::7] = bases[::7, 0]  # some vectors in the span
+    residues = reduce_batch(field, bases, pivots, ranks, vs)
+    expect = [reduce_vector(field, basis, v.tolist()) for basis, v in zip(scalar, vs)]
+    assert residues.tolist() == [list(r) for r in expect]
+    assert not residues[::7].any()
+    nonzero = residues[residues.any(axis=1)]
+    rows, lead = unit_rows(field, nonzero)
+    for row, p, r in zip(rows.tolist(), lead.tolist(), nonzero.tolist()):
+        assert row.index(1) == p and all(row[i] == 0 for i in range(p))
+        assert reduce_vector(field, [tuple(row)], r) == [0] * m
+    # one vector against every basis, as the sweep calls it
+    assert reduce_batch(field, bases, pivots, ranks, vs[1]).tolist() == [
+        list(reduce_vector(field, basis, vs[1].tolist())) for basis in scalar
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, n, k",
+    [(GF2, 18, 5), (GF2, 17, 13), (GF3, 17, 4), (GF3, 18, 15), (GF5, 17, 3), (GF5, 17, 14),
+     (GF256, 17, 2), (GF256, 18, 16)],
+    ids=str,
+)
+def test_sweep_past_one_block_matches_counting(field, n, k):
+    # n > 16: the high elements are enumerated and each seeds one doubling
+    # of the low 16, on the code route (k <= n - k) and the dual route
+    rows = rank_k_rows(field, n, k, np.random.default_rng(40 * n + k + field.q))
+    for row in rows:
+        row[-1] = row[0]  # a high element parallel to a low one
+    M = matroid(field, rows)
+    assert M.size > CHUNK_WORDS.bit_length() - 1
+    assert (M.rank_full > n - M.rank_full) == (k > n - k)
+    swept = M._sweep_rank_table()
+    assert np.array_equal(swept, M._count_rank_table())
+    assert swept[-1] == M.rank_full and swept.dtype == np.uint8
+
+
+def test_sweep_allocates_the_table_and_one_block_of_bases():
+    # a rank-3 code on 20 elements: the uint8 table, plus the bases of one
+    # block of at most 2^16 subsets (m x m bytes each) and the temporaries
+    # of reducing a column against them; never an array per table entry
+    rng = np.random.default_rng(21)
+    n, m = 20, 3
+    M = matroid(GF3, rank_k_rows(GF3, n, m, rng))
+    tracemalloc.start()
+    try:
+        table = M._sweep_rank_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n) + 4 * CHUNK_WORDS * m * m
+    assert table.dtype == np.uint8 and table[-1] == m
