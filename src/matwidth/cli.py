@@ -8,6 +8,7 @@ JSON results go to stdout, a one-line human summary to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -142,7 +143,10 @@ def cmd_verify(args) -> CommandResult:
     return CommandResult(status, report, summary)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    fills a fresh namespace each call and mutates nothing it holds."""
     p = argparse.ArgumentParser(prog="matwidth", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

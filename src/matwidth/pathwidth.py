@@ -1,11 +1,35 @@
 """Ordering widths, exact matroid pathwidth with certificate orderings,
 a greedy upper bound, and caterpillar branch-decompositions.
 
-The exact solver is a subset DP over prefix sets:
-B(S) = max(lambda(S), min over e in S of B(S - e)), B(empty) = 0, swept in
-cardinality layers over the full rank table; the optimal ordering is
-recovered by walking predecessors from the full ground set.  The same DP
-(`prefix_dp`) with vertex-boundary costs gives graph pathwidth.
+The exact solver is a DP over prefix sets:
+B(S) = max(lambda(S), min over e in S of B(S - e)), B(empty) = 0, and the
+optimal ordering is recovered by walking predecessors from the full
+ground set.  The same DP (`prefix_dp`) with vertex-boundary costs gives
+graph pathwidth.
+
+States are class counts, not subsets.  The ground set is split into
+parallel classes (columns equal once scaled to lead with 1, and all loops
+together).  Swapping two elements of a class is an automorphism of M, so
+lambda(S), and by induction B(S), depend only on how many elements of each
+class S holds: r(S) is the simplification's rank of the classes S meets,
+r(E - S) that of the classes S does not hold whole.  A state is the count
+vector c stored as x = sum c_j * stride_j in mixed radix |class_j| + 1
+(class 0 fastest), swept in layers of equal digit sum, and
+
+    B(x) = max(cost[x], min over j of B[x - stride_j]).
+
+For c_j = 0 the subtraction borrows from a higher digit, landing in the
+same layer or a higher one, or wraps below 0 to a higher layer (the gather
+wraps indices mod the state count); B is still 255 there, so that entry
+never wins and no digit test is needed.  With every class a singleton the
+strides are 2^j, x is the subset's bitmask and this is the subset DP.
+
+The back-walk removes, from the winning class, its remaining member with
+the smallest tie key.  Within a class every member gives the same
+B(S - e), so this is the subset DP's tie rule: the e with smallest
+(B(S - e), tie_key(e), e).  On the apex matroids of the graph reduction
+every element has a parallel twin, so an n-element instance has 3^(n/2)
+states instead of 2^n.
 """
 
 from __future__ import annotations
@@ -16,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .matroid import VectorMatroid, label_key
+from .matroid import VectorMatroid, delete, label_key
 
 DEFAULT_EXACT_CAP = 24
 
@@ -84,61 +108,135 @@ def width_of_ordering(M: VectorMatroid, ordering) -> WidthCertificate:
     return WidthCertificate(max(lambdas, default=0), ordering, lambdas)
 
 
-def _lambda_table(M: VectorMatroid) -> np.ndarray:
-    ranks = M.rank_table()
-    lam = ranks.astype(np.int16) + ranks[::-1].astype(np.int16) - int(M.rank_full)
-    return lam.astype(np.uint8)
+def parallel_classes(M: VectorMatroid) -> list:
+    """Column positions grouped into parallel classes, in order of first
+    column: columns agree once scaled to lead with 1, and the zero columns
+    (loops) form one class."""
+    field = M.field
+    classes = {}
+    for j in range(M.size):
+        col = M.matrix.column(j)
+        lead = next((x for x in col if x), 0)
+        key = tuple(field.mul(field.inv(lead), x) for x in col) if lead else None
+        classes.setdefault(key, []).append(j)
+    return list(classes.values())
 
 
-def prefix_dp(cost: np.ndarray, n: int, tie_key) -> tuple:
-    """The layered subset DP B(S) = max(cost[S], min over e in S of
-    B(S - e)), B(empty) = 0, swept by cardinality (vectorized per element),
-    and an optimal order of 0..n-1 walked back to front from the full set:
-    at each step the e with smallest B(S - e), ties by tie_key(e).
-    Returns (B(full set), order).
+def _strides(classes) -> tuple:
+    """Mixed-radix strides of the class-count states and their number."""
+    strides, size = [], 1
+    for c in classes:
+        strides.append(size)
+        size *= len(c) + 1
+    return strides, size
 
-    Every cost must be below 255 (lambda <= 64 on a matroid, at most 16 on
-    a graph's vertex boundary).  B starts at 255 outside the empty set, so
-    each layer takes its min over every e: for e not in S, S ^ e lies in the
-    next layer, still 255, and never wins."""
-    size = 1 << n
-    pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
+
+def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
+    """lambda of every class-count state (uint8, module docstring): the
+    simplification's rank table gathered along each class axis, for r(S) at
+    count c by [c > 0] and for r(E - S) by [c = |class|] on the reversed
+    table.  The simplification is M itself when M is simple."""
+    loop = next((j for j, c in enumerate(classes) if not any(M.matrix.column(c[0]))), None)
+    reps = {c[0] for j, c in enumerate(classes) if j != loop}
+    if len(reps) == M.size:
+        simple = M
+    else:
+        simple = delete(M, [lbl for i, lbl in enumerate(M.labels) if i not in reps])
+    table = simple.rank_table()
+    shape = (2,) * len(reps)  # class j on axis J - 1 - j, class 0 fastest
+    head, tail = table.reshape(shape), table[::-1].reshape(shape)
+    last = len(classes) - 1
+    if loop is not None:
+        head, tail = np.expand_dims(head, last - loop), np.expand_dims(tail, last - loop)
+    for j, c in enumerate(classes):
+        s = len(c)
+        if j == loop:
+            head_idx = tail_idx = np.zeros(s + 1, dtype=np.intp)
+        elif s > 1:
+            head_idx = np.minimum(np.arange(s + 1), 1)
+            tail_idx = (np.arange(s + 1) == s).astype(np.intp)
+        else:
+            continue
+        head = np.take(head, head_idx, axis=last - j)
+        tail = np.take(tail, tail_idx, axis=last - j)
+    lam = head + tail
+    lam -= np.uint8(M.rank_full)
+    return lam.reshape(-1)
+
+
+def prefix_dp(cost: np.ndarray, classes, tie_key) -> tuple:
+    """The layered DP B(x) = max(cost[x], min over j of B[x - stride_j]),
+    B(0) = 0, over class-count states x (module docstring), and an optimal
+    order of the elements walked back to front from the full state.
+    classes lists each class's element indices; an int n stands for the n
+    singletons {0}, .., {n - 1}, where x is a subset's bitmask.  At each
+    step of the walk the e with smallest (B(x - e), tie_key(e), e) goes
+    last.  Returns (B(full state), order).
+
+    cost is uint8 with every entry below 255 (lambda <= 64 on a matroid, at
+    most 16 on a graph's vertex boundary).  B starts at 255 outside the
+    empty state, so each layer takes its min over every class: where
+    c_j = 0 the gather lands in this layer or a later one, still 255, and
+    never wins."""
+    if isinstance(classes, int):
+        classes = [[e] for e in range(classes)]
+    strides, size = _strides(classes)
+    layer = np.zeros(1, dtype=np.uint8)  # digit sums, class 0 fastest
+    for c in classes:
+        layer = (np.arange(len(c) + 1, dtype=np.uint8)[:, None] + layer).reshape(-1)
     B = np.full(size, 255, dtype=np.uint8)
     B[0] = 0
-    for card in range(1, n + 1):
-        idx = np.flatnonzero(pc == card)
-        best = np.full(idx.size, 255, dtype=np.uint8)
-        for e in range(n):
-            idx ^= 1 << e
-            np.minimum(best, B[idx], out=best)
-            idx ^= 1 << e
-        B[idx] = np.maximum(cost[idx], best)
+    for d in range(1, int(layer[-1]) + 1):  # up to the full state's digit sum, n
+        _relax_layer(B, cost, np.flatnonzero(layer == d), strides)
+    members = [sorted(c, key=lambda e: (tie_key(e), e)) for c in classes]
+    taken = [0] * len(classes)
     seq = []
-    S = size - 1
-    while S:
-        _, _, e = min((int(B[S ^ (1 << e)]), tie_key(e), e) for e in range(n) if (S >> e) & 1)
+    x = size - 1
+    while x:
+        _, _, e, j = min((int(B[x - strides[j]]), tie_key(c[t]), c[t], j)
+                         for j, (c, t) in enumerate(zip(members, taken)) if t < len(c))
         seq.append(e)
-        S ^= 1 << e
+        taken[j] += 1
+        x -= strides[j]
     return int(B[size - 1]), seq[::-1]
 
 
+def _relax_layer(B, cost, idx, strides) -> None:
+    """B[idx] = max(cost[idx], min over strides of B[idx - stride]), gathered
+    mod B.size through one buffer for idx - stride.  A function of its own,
+    so that its arrays are freed before the next layer's index is built:
+    the int64 index of the largest layer is 21.6 MB at 2^24 states."""
+    best = np.full(idx.size, 255, dtype=np.uint8)
+    got = np.empty_like(best)
+    prev = np.empty_like(idx)
+    for stride in strides:
+        np.subtract(idx, stride, out=prev)
+        np.take(B, prev, mode="wrap", out=got)
+        np.minimum(best, got, out=best)
+    B[idx] = np.maximum(best, cost[idx], out=best)
+
+
 def pathwidth_exact(M: VectorMatroid, exact_cap: int = DEFAULT_EXACT_CAP) -> WidthCertificate:
-    """Optimal width and a witnessing ordering; refuses beyond the cap."""
+    """Optimal width and a witnessing ordering; refuses beyond the cap (in
+    elements, whatever the classes)."""
     n = M.size
     if n > exact_cap:
         raise GroundSetTooLargeForExact(f"{n} elements exceeds the exact cap {exact_cap}")
     if n == 0:
         return WidthCertificate(0, (), ())
-    lam = _lambda_table(M)
-    width, order = prefix_dp(lam, n, lambda i: label_key(M.labels[i]))
+    classes = parallel_classes(M)
+    lam = _class_lambdas(M, classes)
+    width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]))
     # the certificate's lambdas come from elimination, so the table that
     # produced the width cannot vouch for itself
     cert = width_of_ordering(M, [M.labels[i] for i in order])
-    mask = 0
+    strides, _ = _strides(classes)
+    stride_of = {i: strides[j] for j, c in enumerate(classes) for i in c}
+    x = 0
     for i, lam_i in zip(order, cert.prefix_lambdas):
-        mask |= 1 << i
-        if lam[mask] != lam_i:
-            raise AssertionError(f"rank table gives lambda {lam[mask]} for a prefix, elimination {lam_i}")
+        x += stride_of[i]
+        if lam[x] != lam_i:
+            raise AssertionError(f"rank table gives lambda {lam[x]} for a prefix, elimination {lam_i}")
     if width != cert.width:
         raise AssertionError(f"DP width {width} but the ordering has width {cert.width}")
     return cert

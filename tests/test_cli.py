@@ -213,3 +213,28 @@ def test_verify_p1q_non_prime_power_is_error(capsys):
     code, payload, _ = run(capsys, "verify", "p1q", "--q", "6", "--n", "6", "--samples", "20")
     assert code == 1
     assert "not a prime power" in payload["error"]
+
+
+def test_parser_built_once_answers_as_a_fresh_one(capsys, tmp_path, u24_file):
+    from matwidth.cli import build_parser
+
+    code_file = tmp_path / "mds.code"
+    code_file.write_text(code_to_text(catalog_code("MDS(4,2)", 3)))
+    graph_file = tmp_path / "k3.graph"
+    graph_file.write_text("3\n0 1 1\n1 2 2\n0 2 3\n")
+    runs = [("tw", str(code_file)), ("reduce", str(graph_file), "--verify"),
+            ("check-minor", "--host", u24_file, "--pattern", "U24"),
+            ("pathwidth", u24_file, "--decide", "1"), ("tw", str(code_file))]
+
+    def outputs(fresh):
+        got = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            got.append((main(list(argv)), capsys.readouterr().out))
+        return got
+
+    fresh = outputs(True)
+    parser = build_parser()
+    assert outputs(False) == fresh
+    assert build_parser() is parser

@@ -1,28 +1,36 @@
-"""Ordering widths, the exact DP against brute force, greedy bounds, and
-caterpillar branch-decompositions."""
+"""Ordering widths, the exact DP against brute force and against the subset
+DP on reference ranks, greedy bounds, and caterpillar branch-decompositions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from matwidth.algebra import identity_matrix, rank_of_columns
-from matwidth.graph import complete_graph, cycle_matroid
-from matwidth.matroid import VectorMatroid, direct_sum, dual
+from matwidth.graph import MultiGraph, complete_graph, cycle_matroid
+from matwidth.matroid import VectorMatroid, direct_sum, dual, label_key
 from matwidth.pathwidth import (
     GroundSetTooLargeForExact,
     LeafLabelMismatch,
     NotAPermutation,
     TooFewElements,
     WidthCertificate,
+    _class_lambdas,
+    _strides,
     branch_width_of_tree,
     caterpillar,
+    parallel_classes,
     pathwidth_exact,
     pathwidth_upper_greedy,
     prefix_dp,
     width_of_ordering,
 )
-from util import GF2, GF3, brute_force_pathwidth, graphic_lambda, matroid, u24
+from matwidth.reduction import add_apex, apex_matroid, simplify_double
+from util import (
+    GF2, GF3, GF4, GF5, brute_force_pathwidth, graphic_lambda, matroid, ref_field_ops,
+    ref_lambda_table, u24,
+)
 
 
 def random_matroid(rng, field, n):
@@ -176,6 +184,123 @@ def test_prefix_dp_matches_dictionary_dp(n):
         rank = rng.permutation(n)
         for tie_key in (lambda e: 0, lambda e: int(rank[e])):
             assert prefix_dp(cost, n, tie_key) == _dict_prefix_dp(cost, n, tie_key)
+
+
+def test_prefix_dp_memory_at_24_elements():
+    # digit sums in uint8 and one subtraction buffer per layer: no uint32
+    # arange of the state space, no int64 index array per stride
+    cost = np.random.default_rng(24).integers(0, 13, 1 << 24).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        prefix_dp(cost, 24, lambda e: e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90.3e6
+
+
+# ---------------------------------------------------------------------------
+# class-count states: pathwidth_exact against the subset DP on reference ranks
+
+
+def _reference_exact(field, rows, labels):
+    """(width, ordering) of the dictionary subset DP on the full lambda table
+    of the reference ranks, ties by label_key.  Past 16 elements the
+    dictionary is too slow and the singleton prefix_dp, which
+    test_prefix_dp_matches_dictionary_dp holds to it, stands in."""
+    n = len(labels)
+    dp = _dict_prefix_dp if n <= 16 else prefix_dp
+    lam = ref_lambda_table(field, rows, n).astype(np.uint8)
+    width, order = dp(lam, n, lambda e: label_key(labels[e]))
+    return width, tuple(labels[e] for e in order)
+
+
+def _non_simple_rows(field, rng, n):
+    """Seeded rows whose columns are random, zero, or nonzero multiples of
+    an earlier column."""
+    _, mul = ref_field_ops(field)
+    k = int(rng.integers(1, 5))
+    cols = []
+    for _ in range(n):
+        kind = int(rng.integers(3)) if cols else 0
+        if kind == 0:
+            cols.append([int(x) for x in rng.integers(0, field.q, k)])
+        elif kind == 1:
+            cols.append([0] * k)
+        else:
+            src, c = cols[int(rng.integers(len(cols)))], int(rng.integers(1, field.q))
+            cols.append([mul(c, x) for x in src])
+    return [[col[i] for col in cols] for i in range(k)]
+
+
+def _mixed_labels(rng, n):
+    return [f"e{j}" if rng.integers(2) else int(rng.integers(100)) * 16 + j for j in range(n)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, GF5], ids=["GF2", "GF3", "GF4", "GF5"])
+def test_exact_matches_subset_dp_on_non_simple_matroids(field):
+    rng = np.random.default_rng(700 + field.q)
+    for _ in range(12):
+        n = int(rng.integers(2, 11))
+        rows, labels = _non_simple_rows(field, rng, n), _mixed_labels(rng, n)
+        cert = pathwidth_exact(matroid(field, rows, labels))
+        assert (cert.width, cert.ordering) == _reference_exact(field, rows, labels)
+
+
+def _graphs_to_4_vertices():
+    """Every simple graph on 1 to 4 vertices, up to isomorphism."""
+    for nv in range(1, 5):
+        pairs = list(itertools.combinations(range(nv), 2))
+        seen = set()
+        for mask in range(1 << len(pairs)):
+            edges = [p for b, p in enumerate(pairs) if (mask >> b) & 1]
+            canon = min(tuple(sorted(tuple(sorted((pi[u], pi[v]))) for u, v in edges))
+                        for pi in itertools.permutations(range(nv)))
+            if canon not in seen:
+                seen.add(canon)
+                yield MultiGraph(nv, tuple((u, v, i + 1) for i, (u, v) in enumerate(edges)))
+
+
+def test_exact_matches_subset_dp_on_apex_matroids():
+    graphs = list(_graphs_to_4_vertices())
+    assert len(graphs) == 1 + 2 + 4 + 11
+    for G in graphs:
+        M = apex_matroid(add_apex(simplify_double(G)), GF2)
+        assert [len(c) for c in parallel_classes(M)] == [2] * (M.size // 2)
+        rows = [list(row) for row in M.matrix.entries]
+        cert = pathwidth_exact(M)
+        assert (cert.width, cert.ordering) == _reference_exact(GF2, rows, M.labels)
+
+
+def test_parallel_classes_scale_columns_and_gather_loops():
+    # columns 1 and 5 are 2 and 4 times column 0 over GF(5); 2 and 4 are loops
+    M = matroid(GF5, [(1, 2, 0, 1, 0, 4, 0), (2, 4, 0, 3, 0, 3, 3)])
+    assert parallel_classes(M) == [[0, 1, 5], [2, 4], [3], [6]]
+    assert parallel_classes(u24()) == [[0], [1], [2], [3]]
+
+
+def test_class_lambdas_agree_with_every_subset():
+    rng = np.random.default_rng(71)
+    for field in (GF3, GF4, GF5):
+        for _ in range(6):
+            n = int(rng.integers(1, 10))
+            rows = _non_simple_rows(field, rng, n)
+            M = matroid(field, rows)
+            classes = parallel_classes(M)
+            lam = _class_lambdas(M, classes)
+            strides, size = _strides(classes)
+            assert lam.dtype == np.uint8 and lam.size == size
+            ref = ref_lambda_table(field, rows, n)
+            for S in range(1 << n):
+                x = sum(strides[j] * sum((S >> e) & 1 for e in c) for j, c in enumerate(classes))
+                assert lam[x] == ref[S]
+
+
+def test_class_lambdas_on_a_simple_matroid_are_the_subset_table():
+    M = cycle_matroid(complete_graph(4), GF3)
+    ranks = M.rank_table().astype(np.int64)
+    lam = _class_lambdas(M, parallel_classes(M))
+    assert np.array_equal(lam, ranks + ranks[::-1] - M.rank_full)
 
 
 def test_exact_cap_enforced():

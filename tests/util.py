@@ -231,6 +231,22 @@ def ref_rank_table(field, rows, n) -> list:
     return table
 
 
+def ref_lambda_table(field, rows, n) -> np.ndarray:
+    """lambda(S) = r(S) + r(E - S) - r(E) of every column subset S, from the
+    same count as ref_rank_table, vectorised over S (int64 array)."""
+    words = ref_row_space(field, rows, n)
+    k = ref_dimension(field, words)
+    masks = np.arange(1 << n, dtype=np.int64)
+    vanishing = np.zeros(1 << n, dtype=np.int64)
+    for w in words:
+        vanishing += (masks & sum(1 << j for j, x in enumerate(w) if x)) == 0
+    d = np.zeros(1 << n, dtype=np.int64)
+    for j in range(k):
+        d += vanishing > field.q**j
+    ranks = k - d
+    return ranks + ranks[::-1] - k
+
+
 def ref_random_rows(field, m, n, rng) -> list:
     """Seeded m x n rows with dependencies planted: the last row may combine
     the first two, and one column may become a multiple (possibly zero) of
