@@ -48,10 +48,11 @@ All elimination (spans, ranks, the contraction in `apply_minor`) is the
 kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step,
 their batched forms `reduce_batch` / `unit_rows` for the sweep, and
 `canonical_insert` where a canonical basis is needed.  `apply_minor`
-builds a new matrix for callers that need a matroid; the minor search does
-not, and reads each candidate minor off the host's rank table instead
-(r_{M/X\\Y}(S) = r_M(S + X) - r_M(X), a table gather) and matches it with
-`table_isomorphism`.
+builds a new matrix for callers that need a matroid, and when the parent
+holds a rank table it reads the minor's table off it by
+r_{M/X\\Y}(S) = r_M(S + X) - r_M(X) instead of building one.  The minor
+search builds no minor at all: it gathers each candidate's table from the
+host's by the same identity and matches it with `table_isomorphism`.
 """
 
 from __future__ import annotations
@@ -395,7 +396,14 @@ def apply_minor(M: VectorMatroid, spec: MinorSpec) -> VectorMatroid:
     """M / contract \\ delete.  Contraction of dependent sets is allowed:
     each kept column is reduced against an echelon basis of span(contract)
     and the basis pivot coordinates (zero in every residue) are dropped, a
-    linear map with kernel span(contract), so r_N(S) = r_M(S + X) - r_M(X)."""
+    linear map with kernel span(contract), so r_N(S) = r_M(S + X) - r_M(X).
+
+    When M holds a rank table, N's table is read from it by that identity:
+    M's table as one axis per element (element i on axis n - 1 - i), fixed
+    at 1 for a contracted element, at 0 for a deleted one and kept whole
+    otherwise, a copy of 2^|N| entries with no index array.  The matrix of
+    N is still built, so the checks that eliminate on it (`width_of_ordering`,
+    `replay_certificate`, `pathwidth_exact`) never depend on the table."""
     cmask = M.mask_of(spec.contract)
     dmask = M.mask_of(spec.delete)
     if cmask & dmask:
@@ -411,7 +419,14 @@ def apply_minor(M: VectorMatroid, spec: MinorSpec) -> VectorMatroid:
     cols = [algebra.reduce_vector(field, basis, M._cols[j]) for j in keep_cols]
     entries = [[col[r] for col in cols] for r in keep_rows]
     sub = GfMatrix(field, entries, cols=len(keep_cols))
-    return VectorMatroid(sub, tuple(M.labels[j] for j in keep_cols))
+    N = VectorMatroid(sub, tuple(M.labels[j] for j in keep_cols))
+    if M._rank_table is not None:
+        axes = tuple(1 if (cmask >> i) & 1 else 0 if (dmask >> i) & 1 else slice(None)
+                     for i in reversed(range(M.size)))
+        table = M._rank_table.reshape((2,) * M.size)[axes].reshape(-1) - M._rank_table[cmask]
+        table.flags.writeable = False
+        N._rank_table = table
+    return N
 
 
 def delete(M: VectorMatroid, labels) -> VectorMatroid:
