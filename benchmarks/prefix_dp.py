@@ -8,11 +8,20 @@ on sys.path; the trees take turns input by input, so that every side sees
 about the same machine state.  Inputs:
 
 - "apex": `pathwidth_exact` on the apex matroid over GF(2) (as
-  `reduction.reduce_instance` builds it) of P6 (22 elements), K23 (22) and
-  C6 (24); a fresh matroid for each run, so the rank table is built every
-  time;
+  `reduction.reduce_instance` builds it) of P6 (22 elements), K23 (22),
+  C6 (24), K4 (20) and K5 (30, under an exact cap of 30); a fresh matroid
+  for each run, so the rank table is built every time.  K4 and K5 are
+  the dense ones: every state has lambda <= w*, and the largest layer
+  minimum of lambda is w* - 1, so the DP's first pass fails;
 - "dp": `prefix_dp` alone on seeded random uint8 costs below 13 over the
-  2^n subsets of n = 20, 22 and 24 elements, every element its own class.
+  2^n subsets of n = 20, 22 and 24 elements, every element its own class;
+- "lam": `prefix_dp` alone on the lambda table of a simple code, ties by
+  coordinate: "gf2-17-8", the random GF(2) [17,8] code of the tw-codes
+  benchmark workload (drawn from random.Random("tw-codes-q2"), few states
+  within w*), and "mds17-16-8", the [16,8] MDS code over GF(17) (every
+  state within w* = 8 of lambda);
+- "golay": `pathwidth_exact` on the extended Golay [24,12,8] code, a
+  fresh matroid for each run.
 
 Per input and tree the JSON written to --out holds the best and all of
 REPEATS wall times, the child's peak RSS (`ru_maxrss`, which includes the
@@ -34,34 +43,64 @@ import time
 import tracemalloc
 
 REPEATS = 3
-APEX = ("P6", "K23", "C6")
+APEX = ("P6", "K23", "C6", "K4", "K5")
 DP_SIZES = (20, 22, 24)
+LAMBDA_TABLES = ("gf2-17-8", "mds17-16-8")
+APEX_CAP = 30  # K5's apex matroid has 30 elements, on 3^15 class-count states
 
 
 def _apex_matroid(name: str):
     """A function building a fresh apex matroid of the named graph."""
     from matwidth.algebra import field_from_order
-    from matwidth.graph import complete_bipartite, cycle_graph, path_graph
+    from matwidth.graph import complete_bipartite, complete_graph, cycle_graph, path_graph
     from matwidth.reduction import add_apex, apex_matroid, simplify_double
 
     G = {"P6": lambda: path_graph(6), "K23": lambda: complete_bipartite(2, 3),
-         "C6": lambda: cycle_graph(6)}[name]()
+         "C6": lambda: cycle_graph(6), "K4": lambda: complete_graph(4),
+         "K5": lambda: complete_graph(5)}[name]()
     A, field = add_apex(simplify_double(G)), field_from_order(2)
     return lambda: apex_matroid(A, field)
+
+
+def _code_matroid(name: str):
+    """The matroid of the named simple code (module docstring)."""
+    import random
+
+    from matwidth.algebra import GfMatrix, field_from_order
+    from matwidth.codes import LinearCode, code_matroid, mds_code
+
+    if name == "mds17-16-8":
+        return code_matroid(mds_code(16, 8, field_from_order(17)))
+    if name == "golay":
+        g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+        rows = [[0] * s + g + [0] * (11 - s) for s in range(12)]
+        rows = [row + [sum(row) % 2] for row in rows]
+        return code_matroid(LinearCode(GfMatrix(field_from_order(2), rows, cols=24)))
+    # the tw-codes workload's draw: redrawn until full rank, no zero or
+    # repeated column
+    rng, field = random.Random("tw-codes-q2"), field_from_order(2)
+    while True:
+        rows = [[rng.randrange(2) for _ in range(17)] for _ in range(8)]
+        cols = {tuple(col) for col in zip(*rows)}
+        if len(cols) < 17 or (0,) * 8 in cols:
+            continue
+        M = code_matroid(LinearCode(GfMatrix(field, rows, cols=17)))
+        if M.rank_full == 8:
+            return M
 
 
 def _runner(group: str, arg: str):
     """A no-argument function that runs the input once and returns its
     answer, with any set-up done before it is returned."""
-    if group == "apex":
+    if group in ("apex", "golay"):
         from matwidth.pathwidth import pathwidth_exact
 
-        build = _apex_matroid(arg)
+        build = _apex_matroid(arg) if group == "apex" else lambda: _code_matroid(arg)
 
         def run():
             M = build()
             start = time.perf_counter()
-            cert = pathwidth_exact(M)
+            cert = pathwidth_exact(M, APEX_CAP)
             return time.perf_counter() - start, [cert.width, list(cert.ordering)]
 
         return run
@@ -69,8 +108,14 @@ def _runner(group: str, arg: str):
 
     from matwidth.pathwidth import prefix_dp
 
-    n = int(arg)
-    cost = np.random.default_rng(n).integers(0, 13, 1 << n).astype(np.uint8)
+    if group == "lam":
+        M = _code_matroid(arg)
+        ranks = M.rank_table().astype(np.int16)
+        cost = (ranks + ranks[::-1] - M.rank_full).astype(np.uint8)
+        n = M.size
+    else:
+        n = int(arg)
+        cost = np.random.default_rng(n).integers(0, 13, 1 << n).astype(np.uint8)
 
     def run():
         start = time.perf_counter()
@@ -115,8 +160,10 @@ def main(argv=None) -> int:
         ap.error("--src and --out are required")
     trees = dict(s.split("=", 1) for s in args.src)
     results = []
-    for group, inputs in (("apex", APEX), ("dp", [str(n) for n in DP_SIZES])):
-        for arg in inputs:
+    inputs_of = {"apex": APEX, "dp": [str(n) for n in DP_SIZES], "lam": LAMBDA_TABLES,
+                 "golay": ["golay"]}
+    for group in inputs_of:
+        for arg in inputs_of[group]:
             row = {"group": group, "input": arg}
             for label, src in trees.items():
                 row[label] = measure(src, group, arg)

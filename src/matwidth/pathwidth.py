@@ -18,11 +18,28 @@ vector c stored as x = sum c_j * stride_j in mixed radix |class_j| + 1
 
     B(x) = max(cost[x], min over j of B[x - stride_j]).
 
-For c_j = 0 the subtraction borrows from a higher digit, landing in the
-same layer or a higher one, or wraps below 0 to a higher layer (the gather
-wraps indices mod the state count); B is still 255 there, so that entry
-never wins and no digit test is needed.  With every class a singleton the
-strides are 2^j, x is the subset's bitmask and this is the subset DP.
+For c_j = 0 the subtraction borrows from a higher digit, landing on a
+state of a higher layer or of the same layer that is relaxed later, or
+below 0 in a padding of 255s in front of B; B is still 255 there, so that
+entry never wins and no digit test is needed.  With every class a
+singleton the strides are 2^j, x is the subset's bitmask and this is the
+subset DP.
+
+The DP runs in threshold passes.  A pass at w relaxes only the states with
+cost[x] <= w and leaves the others at 255; by induction over the layers it
+gets B(x) exactly where B(x) <= w and some value above w elsewhere, since
+a state with B(x) <= w has cost[x] <= w and a predecessor with B <= w.  The
+first pass is at the largest over layers of the least cost in the layer,
+a lower bound on B(full) because every ordering crosses every layer.  A
+pass stops at the first layer where no state has B <= w, and the next one
+runs at w + 1, so the pass that reaches the full state has w = B(full).
+The back-walk then compares the same values as a sweep of every state:
+the smallest B(x - e) at each step is at most B(x) <= w and exact, and the
+entries above w neither win nor tie with it.  On the apex matroids of the
+reduction and on random codes only a few percent of the states are
+relaxed; a layer row whose least cost exceeds w is never listed, and a
+block of rows whose largest cost is at most w is relaxed without a cost
+test (`_StateSpace`).
 
 The back-walk removes, from the winning class, its remaining member with
 the smallest tie key.  Within a class every member gives the same
@@ -43,6 +60,15 @@ from . import algebra
 from .matroid import VectorMatroid, delete, label_key
 
 DEFAULT_EXACT_CAP = 24
+# bytes the exact solver needs per entry of the simplification's rank table
+# (the counting backend's uint32 counts, exponent and temporary) and per
+# class-count state (lambda, B and its padding, chunk buffers); the budget
+# admits every matroid within the default cap
+TABLE_BYTES, STATE_BYTES = 6, 4
+EXACT_BYTES = (TABLE_BYTES + STATE_BYTES) << DEFAULT_EXACT_CAP
+LOW_STATES = 1 << 16  # low part of the state space, grouped by digit sum once
+CHUNK = 1 << 12  # states relaxed at once, or 1/128 of the states on large spaces
+ONE_GATHER = 1 << 13  # up to this many predecessors, one gather at computed indices
 
 
 class NotAPermutation(ValueError):
@@ -174,26 +200,24 @@ def prefix_dp(cost: np.ndarray, classes, tie_key) -> tuple:
     last.  Returns (B(full state), order).
 
     cost is uint8 with every entry below 255 (lambda <= 64 on a matroid, at
-    most 16 on a graph's vertex boundary).  B starts at 255 outside the
-    empty state, so each layer takes its min over every class: where
-    c_j = 0 the gather lands in this layer or a later one, still 255, and
-    never wins."""
+    most 16 on a graph's vertex boundary).  The DP runs in threshold passes
+    (module docstring) from the largest layer minimum of cost upwards; a
+    pass at w leaves B(x) where it is at most w and a value above w
+    elsewhere."""
     if isinstance(classes, int):
         classes = [[e] for e in range(classes)]
     strides, size = _strides(classes)
-    layer = np.zeros(1, dtype=np.uint8)  # digit sums, class 0 fastest
-    for c in classes:
-        layer = (np.arange(len(c) + 1, dtype=np.uint8)[:, None] + layer).reshape(-1)
-    B = np.full(size, 255, dtype=np.uint8)
-    B[0] = 0
-    for d in range(1, int(layer[-1]) + 1):  # up to the full state's digit sum, n
-        _relax_layer(B, cost, np.flatnonzero(layer == d), strides)
-    members = [sorted(c, key=lambda e: (tie_key(e), e)) for c in classes]
+    space = _StateSpace(cost, classes)
+    w = space.lower_bound()
+    while not space.threshold_pass(w):
+        w += 1
+    B = space.B
+    members = [sorted((tie_key(e), e) for e in c) for c in classes]
     taken = [0] * len(classes)
     seq = []
     x = size - 1
     while x:
-        _, _, e, j = min((int(B[x - strides[j]]), tie_key(c[t]), c[t], j)
+        _, _, e, j = min((int(B[x - strides[j]]), *c[t], j)
                          for j, (c, t) in enumerate(zip(members, taken)) if t < len(c))
         seq.append(e)
         taken[j] += 1
@@ -201,30 +225,151 @@ def prefix_dp(cost: np.ndarray, classes, tie_key) -> tuple:
     return int(B[size - 1]), seq[::-1]
 
 
-def _relax_layer(B, cost, idx, strides) -> None:
-    """B[idx] = max(cost[idx], min over strides of B[idx - stride]), gathered
-    mod B.size through one buffer for idx - stride.  A function of its own,
-    so that its arrays are freed before the next layer's index is built:
-    the int64 index of the largest layer is 21.6 MB at 2^24 states."""
-    best = np.full(idx.size, 255, dtype=np.uint8)
-    got = np.empty_like(best)
-    prev = np.empty_like(idx)
-    for stride in strides:
-        np.subtract(idx, stride, out=prev)
-        np.take(B, prev, mode="wrap", out=got)
-        np.minimum(best, got, out=best)
-    B[idx] = np.maximum(best, cost[idx], out=best)
+def _digit_groups(radices, dtype) -> list:
+    """The mixed-radix numbers below prod(radices), first radix fastest,
+    grouped by digit sum, each group in descending order.  x and its
+    complement prod - 1 - x have digit sums adding up to the largest, so
+    only the lower half of the groups is found by scanning."""
+    sums = np.zeros(1, dtype=np.uint8)
+    for r in radices:
+        sums = (np.arange(r, dtype=np.uint8)[:, None] + sums).reshape(-1)
+    top, last = int(sums[-1]), sums.size - 1
+    groups = [(sums == s).nonzero()[0][::-1].astype(dtype) for s in range(top // 2 + 1)]
+    return groups + [(last - g)[::-1] for g in reversed(groups[:(top + 1) // 2])]
+
+
+class _StateSpace:
+    """The class-count states of one DP, split as x = h * low + l: l counts
+    the first classes (at most LOW_STATES numbers) and h the others.  Layer
+    d is listed block by block: the rows h of high digit sum f, times the
+    low numbers of digit sum d - f, for f descending; rows and low numbers
+    are in descending order (see threshold_pass for why).  The low numbers
+    are grouped by digit sum once, so no layer is found by scanning every
+    state.  A block is (h * low for its rows, its low numbers, the least
+    cost of each row, the least and the largest cost over the block).
+
+    B is padded in front with 255s and read through one view per stride,
+    shifted so that entry x of the view is B[x - stride]: every
+    predecessor is a plain gather at x."""
+
+    def __init__(self, cost, classes):
+        radices = [len(c) + 1 for c in classes]
+        strides, size = _strides(classes)
+        k, low = 0, 1
+        while k < len(radices) and low * radices[k] <= LOW_STATES:
+            low *= radices[k]
+            k += 1
+        self.cost = cost
+        pad = max(strides, default=0)
+        self._padded = np.empty(pad + size, dtype=np.uint8)
+        self.B = self._padded[pad:]
+        self.preds = [self._padded[pad - s:pad - s + size] for s in strides]
+        self.shift = np.array(strides, dtype=np.intp)[:, None] - pad
+        self.chunk = max(CHUNK, size >> 7)  # states relaxed at once
+        lo = _digit_groups(radices[:k], np.uint16)
+        hi = _digit_groups(radices[k:], np.intp)
+        # least and largest cost of each row within each low group
+        rows = cost.reshape(-1, low)
+        least = np.empty((rows.shape[0], len(lo)), dtype=np.uint8)
+        most = np.empty_like(least)
+        for g, G in enumerate(lo):
+            block = rows.take(G, axis=1)
+            np.minimum.reduce(block, axis=1, out=least[:, g])
+            np.maximum.reduce(block, axis=1, out=most[:, g])
+        # the rows of each high digit sum f, as h * low, with their least
+        # costs and the least and largest cost over them, per low group
+        high = [(h * low, least[h], least[h].min(axis=0).tolist(), most[h].max(axis=0).tolist())
+                for h in hi]
+        self.layers = []
+        for d in range(1, len(lo) + len(hi) - 1):
+            self.layers.append([(base, lo[d - f], rmin[:, d - f], bmin[d - f], bmax[d - f])
+                                for f, (base, rmin, bmin, bmax) in enumerate(high)
+                                if 0 <= d - f < len(lo)][::-1])
+
+    def lower_bound(self) -> int:
+        """The largest over layers d >= 1 of the least cost in layer d, since
+        every order passes through every layer."""
+        return max((min(bmin for *_, bmin, _ in blocks) for blocks in self.layers), default=0)
+
+    def threshold_pass(self, w) -> bool:
+        """One pass at threshold w (module docstring): afterwards B(x) is
+        exact where it is at most w and above w elsewhere.  False at the
+        first layer where no state has B <= w.
+
+        A layer is relaxed in chunks, each read before it is written.  A
+        gather at a count c_j = 0 borrows from the next nonzero count and
+        lands in a later layer, still 255, unless class j is a singleton
+        and c_(j+1) > 0.  Then x - stride_j is in the same layer: a smaller
+        number of the same row and low group, a smaller row of the same
+        block, or, when j is the last low class, row h - 1 of the block
+        listed next.  Each comes later in the listing than x, so it is
+        still 255 too.
+
+        Small chunks take all predecessors in one gather at computed
+        indices, three numpy calls; larger ones take one gather per stride
+        through its view of B, which builds no index array."""
+        self._padded.fill(255)
+        self.B[0] = 0
+        got = np.empty((len(self.preds), self.chunk), dtype=np.uint8)
+        for blocks in self.layers:
+            reached = False
+            for idx, dense in self._chunks(blocks, w):
+                c = self.cost[idx]
+                if not dense:
+                    keep = c <= w
+                    idx, c = idx[keep], c[keep]
+                    if not idx.size:
+                        continue
+                if idx.size * len(self.preds) <= ONE_GATHER:
+                    best = np.minimum.reduce(self._padded[idx - self.shift])
+                else:
+                    buf = got[:, :idx.size]
+                    for j, pred in enumerate(self.preds):
+                        pred.take(idx, out=buf[j])
+                    best = np.minimum.reduce(buf)
+                np.maximum(best, c, out=best)
+                self.B[idx] = best
+                reached = reached or int(np.minimum.reduce(best)) <= w
+            if not reached:
+                return False
+        return True
+
+    def _chunks(self, blocks, w):
+        """The states of a layer's rows that reach cost <= w, in listing
+        order, in pieces of at most self.chunk states, each with whether
+        every cost in its block is <= w."""
+        for base, G, rmin, bmin, bmax in blocks:
+            if bmin > w:
+                continue
+            if bmax > w and base.size > 1:
+                base = base[rmin <= w]
+            if G.size > self.chunk:
+                for b in base:
+                    for i in range(0, G.size, self.chunk):
+                        yield G[i:i + self.chunk] + b, bmax <= w
+            else:
+                step = self.chunk // G.size
+                for i in range(0, base.size, step):
+                    yield (base[i:i + step, None] + G).reshape(-1), bmax <= w
 
 
 def pathwidth_exact(M: VectorMatroid, exact_cap: int = DEFAULT_EXACT_CAP) -> WidthCertificate:
-    """Optimal width and a witnessing ordering; refuses beyond the cap (in
-    elements, whatever the classes)."""
+    """Optimal width and a witnessing ordering.  Refuses beyond the cap (in
+    elements, whatever the classes), and before allocating anything when
+    the simplification's rank table and the class-count states would need
+    more than EXACT_BYTES."""
     n = M.size
     if n > exact_cap:
         raise GroundSetTooLargeForExact(f"{n} elements exceeds the exact cap {exact_cap}")
     if n == 0:
         return WidthCertificate(0, (), ())
     classes = parallel_classes(M)
+    _, states = _strides(classes)
+    need = TABLE_BYTES * 2 ** len(classes) + STATE_BYTES * states  # loops counted as a class
+    if need > EXACT_BYTES:
+        raise GroundSetTooLargeForExact(
+            f"the exact DP would need about {need / 1e6:.0f} MB (a 2^{len(classes)}-entry rank "
+            f"table, {states} states), over its budget of {EXACT_BYTES / 1e6:.0f} MB")
     lam = _class_lambdas(M, classes)
     width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]))
     # the certificate's lambdas come from elimination, so the table that

@@ -7,7 +7,7 @@ import pytest
 from matwidth import algebra
 from matwidth.cli import main
 from matwidth.codes import catalog_code, code_to_text
-from matwidth.graph import graph_from_text
+from matwidth.graph import complete_graph, graph_from_text, graph_to_text
 from matwidth.matroid import matroid_from_text, matroid_to_text
 
 U24_TEXT = "3 2 4\n1 0 1 1\n0 1 1 2\n"
@@ -107,6 +107,27 @@ def test_reduce_k3_verify_and_files(capsys, tmp_path):
     assert sidecar["apex"] == 3
     rebuilt = graph_from_text(sidecar["graph"])
     assert rebuilt.vertex_count == 4 and rebuilt.edge_count == mat.cols
+
+
+def test_reduce_k5_verify_past_the_default_cap(capsys, tmp_path):
+    # 30 elements in 15 parallel pairs: 3^15 class-count states, within the
+    # exact solver's memory budget
+    p = tmp_path / "k5.graph"
+    p.write_text(graph_to_text(complete_graph(5)))
+    code, payload, err = run(capsys, "reduce", str(p), "--verify", "--exact-cap", "30")
+    assert code == 0
+    assert payload["verify"] == {"pw_graph": 4, "pw_matroid": 5, "identity": True}
+    assert "pw 5 = 4 + 1" in err
+
+
+def test_pathwidth_over_the_memory_budget_is_error(capsys, tmp_path):
+    # a simple 30-element matroid: a 2^30-entry rank table
+    cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, 31)]
+    p = tmp_path / "big.mat"
+    p.write_text("2 5 30\n" + "\n".join(" ".join(str(c[i]) for c in cols) for i in range(5)) + "\n")
+    code, payload, _ = run(capsys, "pathwidth", str(p), "--exact-cap", "30")
+    assert code == 1
+    assert "budget" in payload["error"]
 
 
 def test_check_minor_named_pattern(capsys, tmp_path, u24_file):

@@ -8,15 +8,20 @@ import numpy as np
 import pytest
 
 from matwidth.algebra import identity_matrix, rank_of_columns
-from matwidth.graph import MultiGraph, complete_graph, cycle_matroid
+from matwidth.graph import MultiGraph, complete_graph, cycle_graph, cycle_matroid
 from matwidth.matroid import VectorMatroid, direct_sum, dual, label_key
 from matwidth.pathwidth import (
+    DEFAULT_EXACT_CAP,
+    EXACT_BYTES,
+    STATE_BYTES,
+    TABLE_BYTES,
     GroundSetTooLargeForExact,
     LeafLabelMismatch,
     NotAPermutation,
     TooFewElements,
     WidthCertificate,
     _class_lambdas,
+    _StateSpace,
     _strides,
     branch_width_of_tree,
     caterpillar,
@@ -187,8 +192,8 @@ def test_prefix_dp_matches_dictionary_dp(n):
 
 
 def test_prefix_dp_memory_at_24_elements():
-    # digit sums in uint8 and one subtraction buffer per layer: no uint32
-    # arange of the state space, no int64 index array per stride
+    # B and its padding (25.2 MB), the rest in chunks of 2^17 states: no
+    # digit sums of the whole state space, no index array of a whole layer
     cost = np.random.default_rng(24).integers(0, 13, 1 << 24).astype(np.uint8)
     tracemalloc.start()
     try:
@@ -196,7 +201,136 @@ def test_prefix_dp_memory_at_24_elements():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 90.3e6
+    assert peak <= 32.0e6
+
+
+# ---------------------------------------------------------------------------
+# threshold passes against the full layered DP
+
+
+def _layered_prefix_dp(cost, classes, tie_key):
+    """prefix_dp as one full layered sweep: every state of every layer
+    relaxed, each layer found by scanning the digit sums of all states, the
+    gathers wrapping below 0 onto later layers; the same back-walk."""
+    if isinstance(classes, int):
+        classes = [[e] for e in range(classes)]
+    strides, size = _strides(classes)
+    layer = np.zeros(1, dtype=np.uint8)
+    for c in classes:
+        layer = (np.arange(len(c) + 1, dtype=np.uint8)[:, None] + layer).reshape(-1)
+    B = np.full(size, 255, dtype=np.uint8)
+    B[0] = 0
+    for d in range(1, int(layer[-1]) + 1):
+        idx = np.flatnonzero(layer == d)
+        best = np.full(idx.size, 255, dtype=np.uint8)
+        for stride in strides:
+            np.minimum(best, np.take(B, idx - stride, mode="wrap"), out=best)
+        B[idx] = np.maximum(best, cost[idx])
+    members = [sorted(c, key=lambda e: (tie_key(e), e)) for c in classes]
+    taken, seq, x = [0] * len(classes), [], size - 1
+    while x:
+        _, _, e, j = min((int(B[x - strides[j]]), tie_key(c[t]), c[t], j)
+                         for j, (c, t) in enumerate(zip(members, taken)) if t < len(c))
+        seq.append(e)
+        taken[j] += 1
+        x -= strides[j]
+    return int(B[size - 1]), seq[::-1]
+
+
+def _passes(cost, classes):
+    """(lower bound, value): the DP runs value - lower bound + 1 passes."""
+    if isinstance(classes, int):
+        classes = [[e] for e in range(classes)]
+    return _StateSpace(cost, classes).lower_bound(), prefix_dp(cost, classes, lambda e: e)[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 17, 18])
+def test_threshold_dp_matches_layered_dp_on_singletons(n):
+    # past 16 singletons the states split into low and high parts
+    rng = np.random.default_rng(500 + n)
+    for top in (2, 6, 12):
+        cost = rng.integers(0, top + 1, 1 << n).astype(np.uint8)
+        rank = rng.permutation(max(n, 1))
+        for tie_key in (lambda e: 0, lambda e: int(rank[e])):
+            assert prefix_dp(cost, n, tie_key) == _layered_prefix_dp(cost, n, tie_key)
+
+
+def test_threshold_dp_matches_layered_dp_on_parallel_pairs():
+    classes = [[2 * j + 1, 2 * j] for j in range(11)]  # 3^11 states
+    _, size = _strides(classes)
+    rng = np.random.default_rng(511)
+    for top in (3, 8):
+        cost = rng.integers(0, top + 1, size).astype(np.uint8)
+        for tie_key in (lambda e: 0, lambda e: -e):
+            assert prefix_dp(cost, classes, tie_key) == _layered_prefix_dp(cost, classes, tie_key)
+
+
+def test_threshold_dp_matches_layered_dp_over_several_passes():
+    # high costs with one cheap state planted per layer: the layer minima
+    # stay low while every order has to cross expensive states
+    rng = np.random.default_rng(523)
+    for classes in (14, [[0, 1, 2], [3], [4, 5], [6], [7, 8], [9, 10, 11], [12]]):
+        cls = [[e] for e in range(classes)] if isinstance(classes, int) else classes
+        strides, size = _strides(cls)
+        layer = np.zeros(1, dtype=np.uint8)
+        for c in cls:
+            layer = (np.arange(len(c) + 1, dtype=np.uint8)[:, None] + layer).reshape(-1)
+        for _ in range(3):
+            cost = rng.integers(4, 9, size).astype(np.uint8)
+            for d in range(int(layer[-1]) + 1):
+                cost[rng.choice(np.flatnonzero(layer == d))] = int(rng.integers(0, 3))
+            lb, value = _passes(cost, classes)
+            assert lb + 2 <= value
+            for tie_key in (lambda e: 0, lambda e: -e):
+                assert prefix_dp(cost, classes, tie_key) == _layered_prefix_dp(cost, classes, tie_key)
+
+
+def test_threshold_dp_matches_layered_dp_when_every_state_qualifies():
+    rng = np.random.default_rng(541)
+    for n in (5, 12):
+        cost = rng.integers(0, 4, 1 << n).astype(np.uint8)
+        cost[-1] = 3  # the full state's cost is the largest, so is the bound
+        assert _passes(cost, n)[0] == 3
+        assert prefix_dp(cost, n, lambda e: e) == _layered_prefix_dp(cost, n, lambda e: e)
+    cost = np.full(1 << 10, 2, dtype=np.uint8)
+    assert prefix_dp(cost, 10, lambda e: -e) == _layered_prefix_dp(cost, 10, lambda e: -e)
+
+
+@pytest.mark.parametrize("j", [14, 15])
+def test_threshold_dp_reads_same_layer_borrows_before_they_are_written(j):
+    # 17 singletons.  x0 = A + {j + 1} and y0 = A + {j} lie in one layer, and
+    # the gather of x0 at stride 2^j borrows: it lands on y0.  Only y0 has
+    # B = 1 there, so x0 must be relaxed before y0 is written, in another
+    # chunk of the same low group (j = 14) or of the next block (j = 15,
+    # element 16 being the high part); x0's own predecessors cost 2, and
+    # every order through x0 is cheap from there on, so reading y0's
+    # written B would give width 1 instead of 2.
+    n, A = 17, sum(1 << b for b in (0, 1, 2, 3, 4, 5, 6, 12, 13))
+    x0, y0 = A | 1 << (j + 1), A | 1 << j
+    layer = np.bitwise_count(np.arange(1 << n))
+    cost = np.ones(1 << n, dtype=np.uint8)
+    cost[A] = 2
+    cost[[x0 ^ 1 << b for b in range(n) if A >> b & 1]] = 2
+    cost[layer == 10] = 2
+    cost[[x0, y0]] = 1
+    cost[layer == 11] = 2
+    cost[[x0 | 1 << e for e in range(n) if not (x0 | 1 << j) >> e & 1]] = 1
+    assert _passes(cost, n) == (1, 2)
+    for tie_key in (lambda e: 0, lambda e: -e):
+        assert prefix_dp(cost, n, tie_key) == _layered_prefix_dp(cost, n, tie_key)
+
+
+@pytest.mark.parametrize("graph", ["K4", "C6"])
+def test_threshold_dp_matches_layered_dp_on_apex_lambda_tables(graph):
+    G = complete_graph(4) if graph == "K4" else cycle_graph(6)
+    M = apex_matroid(add_apex(simplify_double(G)), GF2)
+    classes = parallel_classes(M)
+    lam = _class_lambdas(M, classes)
+
+    def tie_key(i):
+        return label_key(M.labels[i])
+
+    assert prefix_dp(lam, classes, tie_key) == _layered_prefix_dp(lam, classes, tie_key)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +445,26 @@ def test_exact_cap_enforced():
     with pytest.raises(GroundSetTooLargeForExact):
         pathwidth_exact(small, exact_cap=4)
     assert pathwidth_exact(small, exact_cap=5).width == 1
+
+
+def test_exact_refuses_an_oversized_dp_before_allocating(monkeypatch):
+    # the 30 nonzero vectors of GF(2)^5 but one: simple, so its table alone
+    # would hold 2^30 entries
+    cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, 31)]
+    M = matroid(GF2, [[c[i] for c in cols] for i in range(5)])
+
+    def no_table(self):
+        raise AssertionError("rank table built")
+
+    monkeypatch.setattr(VectorMatroid, "rank_table", no_table)
+    with pytest.raises(GroundSetTooLargeForExact, match="budget"):
+        pathwidth_exact(M, exact_cap=30)
+
+
+def test_exact_budget_admits_every_matroid_within_the_default_cap():
+    assert EXACT_BYTES >= (TABLE_BYTES + STATE_BYTES) * 2**DEFAULT_EXACT_CAP
+    # 15 parallel pairs of K5's apex matroid: a 2^15 table and 3^15 states
+    assert TABLE_BYTES * 2**15 + STATE_BYTES * 3**15 <= EXACT_BYTES
 
 
 def test_empty_and_singleton_matroids():
