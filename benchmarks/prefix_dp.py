@@ -2,16 +2,16 @@
 
     python3 benchmarks/prefix_dp.py --src before=../parent/src --src after=src --out BENCH.json
 
-Each --src LABEL=DIR names a source tree of the package.  Every input
-below is measured for every tree in its own interpreter, with DIR first
-on sys.path; the trees take turns input by input, so that every side sees
-about the same machine state.  Inputs:
+Every input below is measured for every tree by the shared child harness
+(`harness.py`: best of 3 runs and the tracemalloc peak of one more, in a
+fresh interpreter per tree and input, the trees taking turns).  Inputs:
 
 - "apex": `pathwidth_exact` on the apex matroid over GF(2) (as
   `reduction.reduce_instance` builds it) of P6 (22 elements), K23 (22),
-  C6 (24), K4 (20) and K5 (30, under an exact cap of 30); a fresh matroid
-  for each run, so the rank table is built every time.  K4 and K5 are
-  the dense ones: every state has lambda <= w*, and the largest layer
+  C6 (24), K4 (20) and K5 (30); a fresh matroid for each run, so the
+  rank table is built every time.  Trees whose `pathwidth_exact` still
+  takes an element cap (24 by default) are passed 30, so that they
+  measure K5 too.  K4 and K5 are the dense ones: every state has lambda <= w*, and the largest layer
   minimum of lambda is w* - 1, so the DP's first pass fails;
 - "dp": `prefix_dp` alone on seeded random uint8 costs below 13 over the
   2^n subsets of n = 20, 22 and 24 elements, every element its own class;
@@ -23,30 +23,21 @@ about the same machine state.  Inputs:
 - "golay": `pathwidth_exact` on the extended Golay [24,12,8] code, a
   fresh matroid for each run.
 
-Per input and tree the JSON written to --out holds the best and all of
-REPEATS wall times, the child's peak RSS (`ru_maxrss`, which includes the
-interpreter and numpy), the tracemalloc peak of one further run (taken
-apart from the timed runs, which it would slow), and the answer (width and
-ordering), which must agree between trees; and the machine.
+The answer (width and ordering) must agree between trees.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import resource
-import subprocess
+import inspect
 import sys
 import time
-import tracemalloc
 
-REPEATS = 3
+import harness
+
 APEX = ("P6", "K23", "C6", "K4", "K5")
 DP_SIZES = (20, 22, 24)
 LAMBDA_TABLES = ("gf2-17-8", "mds17-16-8")
-APEX_CAP = 30  # K5's apex matroid has 30 elements, on 3^15 class-count states
+OLD_CAP = (30,)  # for trees whose pathwidth_exact takes an element cap
 
 
 def _apex_matroid(name: str):
@@ -89,18 +80,18 @@ def _code_matroid(name: str):
             return M
 
 
-def _runner(group: str, arg: str):
-    """A no-argument function that runs the input once and returns its
-    answer, with any set-up done before it is returned."""
+def runner(group: str, arg: str):
+    """One input of the named group (module docstring)."""
     if group in ("apex", "golay"):
         from matwidth.pathwidth import pathwidth_exact
 
         build = _apex_matroid(arg) if group == "apex" else lambda: _code_matroid(arg)
+        cap = OLD_CAP if "exact_cap" in inspect.signature(pathwidth_exact).parameters else ()
 
         def run():
             M = build()
             start = time.perf_counter()
-            cert = pathwidth_exact(M, APEX_CAP)
+            cert = pathwidth_exact(M, *cap)
             return time.perf_counter() - start, [cert.width, list(cert.ordering)]
 
         return run
@@ -125,65 +116,8 @@ def _runner(group: str, arg: str):
     return run
 
 
-def measure_here(group: str, arg: str) -> dict:
-    run = _runner(group, arg)
-    runs = []
-    for _ in range(REPEATS):
-        secs, answer = run()
-        runs.append(secs)
-    tracemalloc.start()
-    run()
-    traced = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"best_s": min(runs), "runs": runs, "peak_rss_mb": rss_kb / 1024,
-            "tracemalloc_mb": traced / 1e6, "answer": answer}
-
-
-def measure(src: str, group: str, arg: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, __file__, "--one", group, arg]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", action="append", default=[], metavar="LABEL=DIR")
-    ap.add_argument("--out")
-    ap.add_argument("--one", nargs=2, help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.one:
-        print(json.dumps(measure_here(*args.one)))
-        return 0
-    if not args.src or not args.out:
-        ap.error("--src and --out are required")
-    trees = dict(s.split("=", 1) for s in args.src)
-    results = []
-    inputs_of = {"apex": APEX, "dp": [str(n) for n in DP_SIZES], "lam": LAMBDA_TABLES,
-                 "golay": ["golay"]}
-    for group in inputs_of:
-        for arg in inputs_of[group]:
-            row = {"group": group, "input": arg}
-            for label, src in trees.items():
-                row[label] = measure(src, group, arg)
-            answers = {json.dumps(row[label]["answer"]) for label in trees}
-            row["answers_agree"] = len(answers) == 1
-            print(json.dumps(row)[:400], flush=True)
-            results.append(row)
-    doc = {
-        "script": "benchmarks/prefix_dp.py",
-        "trees": list(trees),
-        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
-                    "python": platform.python_version()},
-        "repeats": REPEATS,
-        "results": results,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    return 0
-
+INPUTS = {"apex": APEX, "dp": [str(n) for n in DP_SIZES], "lam": LAMBDA_TABLES, "golay": ["golay"]}
+CASES = [({"group": group, "input": arg}, (group, arg)) for group in INPUTS for arg in INPUTS[group]]
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__file__, __doc__, runner, CASES))

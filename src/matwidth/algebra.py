@@ -12,7 +12,6 @@ one multiplication-table row per pivot.  No floating point.
 from __future__ import annotations
 
 import functools
-import json
 
 import numpy as np
 
@@ -570,16 +569,3 @@ def matrix_from_lines(lines, start: int = 0) -> tuple:
 def matrix_from_text(text: str) -> GfMatrix:
     A, _ = matrix_from_lines(text.splitlines())
     return A
-
-
-def matrix_to_doc(A: GfMatrix) -> dict:
-    return {
-        "field": A.field.q_token(),
-        "rows": A.rows,
-        "cols": A.cols,
-        "entries": [list(r) for r in A.entries],
-    }
-
-
-def doc_to_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

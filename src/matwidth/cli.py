@@ -35,27 +35,23 @@ def _read(path: str) -> str:
 
 def cmd_pathwidth(args) -> CommandResult:
     M = matroid.matroid_from_text(_read(args.matroid))
-    if args.heuristic:
-        cert = pathwidth_upper_greedy(M)
-    else:
-        cert = pathwidth_exact(M, args.exact_cap)
-    payload = {"certificate": cert.to_doc(), "exact": not args.heuristic}
+    cert = pathwidth_upper_greedy(M) if args.heuristic else None
+    # a heuristic over-estimate cannot refute; a "no" falls back to exact
+    exact = cert is None or (args.decide is not None and cert.width > args.decide)
+    if exact:
+        cert = pathwidth_exact(M)
+    payload = {"certificate": cert.to_doc(), "exact": exact}
     summary = f"width {cert.width} on {M.size} elements"
     if args.decide is not None:
-        answer = cert.width <= args.decide
-        if args.heuristic and not answer:
-            # a heuristic over-estimate cannot refute; fall back to exact
-            cert = pathwidth_exact(M, args.exact_cap)
-            payload["certificate"] = cert.to_doc()
-            answer = cert.width <= args.decide
-        payload["decide"] = {"w": args.decide, "answer": "yes" if answer else "no"}
-        summary += f"; pathwidth <= {args.decide}: {'yes' if answer else 'no'}"
+        answer = "yes" if cert.width <= args.decide else "no"
+        payload["decide"] = {"w": args.decide, "answer": answer}
+        summary += f"; pathwidth <= {args.decide}: {answer}"
     return CommandResult(OK, payload, summary)
 
 
 def cmd_tw(args) -> CommandResult:
     C = codes.code_from_text(_read(args.code))
-    cert = codes.trellis_width(C, args.exact_cap)
+    cert = codes.trellis_width(C)
     return CommandResult(
         OK,
         {"certificate": cert.to_doc(), "length": C.length, "dimension": C.dim},
@@ -73,7 +69,7 @@ def cmd_reduce(args) -> CommandResult:
     if args.verify:
         pw_g, _ = graph.graph_pathwidth(G)
         M = reduction.apex_matroid(A, field)
-        pw_m = pathwidth_exact(M, args.exact_cap).width
+        pw_m = pathwidth_exact(M).width
         payload["verify"] = {"pw_graph": pw_g, "pw_matroid": pw_m, "identity": pw_m == pw_g + 1}
         summary += f"; pw {pw_m} = {pw_g} + 1" if pw_m == pw_g + 1 else "; IDENTITY VIOLATED"
         if pw_m != pw_g + 1:
@@ -109,7 +105,7 @@ def cmd_check_minor(args) -> CommandResult:
 
 def cmd_verify_excluded(args) -> CommandResult:
     M = matroid.matroid_from_text(_read(args.matroid))
-    report = minors.verify_excluded_minor(M, args.w, args.exact_cap)
+    report = minors.verify_excluded_minor(M, args.w)
     # a failing candidate is a faithful result, not a theorem violation
     verdict = "is" if report.passed else "is NOT"
     return CommandResult(OK, {"report": report.to_doc()},
@@ -154,12 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("matroid", help="matroid file (matrix text plus optional labels line)")
     sp.add_argument("--decide", type=int, default=None, metavar="W")
     sp.add_argument("--heuristic", action="store_true", help="greedy upper bound instead")
-    sp.add_argument("--exact-cap", type=int, default=24, dest="exact_cap")
     sp.set_defaults(func=cmd_pathwidth)
 
     sp = sub.add_parser("tw", help="trellis-width of a linear code")
     sp.add_argument("code", help="code file (matrix text plus optional labels line)")
-    sp.add_argument("--exact-cap", type=int, default=24, dest="exact_cap")
     sp.set_defaults(func=cmd_tw)
 
     sp = sub.add_parser("reduce", help="graph -> apex-graph matroid representation")
@@ -167,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", default="2")
     sp.add_argument("--verify", action="store_true", help="assert pw(M) = pw(G) + 1")
     sp.add_argument("--out", default=None, metavar="PREFIX", help="write PREFIX.mat and PREFIX.json")
-    sp.add_argument("--exact-cap", type=int, default=24, dest="exact_cap")
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("check-minor", help="search for a pattern minor with certificate")
@@ -178,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-excluded", help="excluded-minor property of a candidate")
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--matroid", required=True)
-    sp.add_argument("--exact-cap", type=int, default=24, dest="exact_cap")
     sp.set_defaults(func=cmd_verify_excluded)
 
     sp = sub.add_parser("check-tw1", help="trellis-width <= 1 with excluded-minor witness")

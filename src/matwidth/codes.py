@@ -7,6 +7,7 @@ trellis-width-one characterization.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -15,13 +16,7 @@ import numpy as np
 from . import algebra, minors
 from .algebra import FieldSpec, GfMatrix
 from .matroid import VectorMatroid, _span_words
-from .pathwidth import (
-    DEFAULT_EXACT_CAP,
-    NotAPermutation,
-    WidthCertificate,
-    pathwidth_exact,
-    width_of_ordering,
-)
+from .pathwidth import NotAPermutation, WidthCertificate, pathwidth_exact, width_of_ordering
 
 EQUIV_MAX_LENGTH = 7
 TW1_MAX_LENGTH = 10
@@ -29,10 +24,6 @@ TW1_MAX_LENGTH = 10
 
 class UnknownLabel(ValueError):
     """A coordinate label is not part of the code."""
-
-
-class LengthTooLargeForExact(ValueError):
-    """Exact trellis-width is capped by the pathwidth solver's cap."""
 
 
 class LengthTooLarge(ValueError):
@@ -111,12 +102,11 @@ def shorten(C: LinearCode, J) -> LinearCode:
     return dual_code(puncture(dual_code(C), J))
 
 
-def trellis_width(C: LinearCode, exact_cap: int = DEFAULT_EXACT_CAP) -> WidthCertificate:
+def trellis_width(C: LinearCode) -> WidthCertificate:
     """tw(C) = pathwidth of the associated matroid, with an optimal
-    coordinate ordering as the certificate."""
-    if C.length > exact_cap:
-        raise LengthTooLargeForExact(f"length {C.length} exceeds the exact cap {exact_cap}")
-    return pathwidth_exact(code_matroid(C), exact_cap)
+    coordinate ordering as the certificate; refused as `pathwidth_exact`
+    refuses it (GroundSetTooLargeForExact)."""
+    return pathwidth_exact(code_matroid(C))
 
 
 def state_profile(C: LinearCode, ordering) -> tuple:
@@ -252,19 +242,12 @@ def mds_code(n: int, k: int, field: FieldSpec) -> LinearCode:
         cols.append(tuple([0] * (k - 1) + [1]))
     entries = [[c[i] for c in cols] for i in range(k)]
     code = LinearCode(GfMatrix(field, entries, cols=n))
-    if _comb(n, k) <= 5000:
+    if math.comb(n, k) <= 5000:
         assert all(
             algebra.rank_of_columns(field, [cols[i] for i in sub]) == k
             for sub in itertools.combinations(range(n), k)
         ), "MDS construction failed its defining-property check"
     return code
-
-
-def _comb(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def catalog_code(name: str, field_or_q) -> LinearCode:

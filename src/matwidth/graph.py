@@ -162,12 +162,12 @@ def validate_path_decomposition(G: MultiGraph, D: PathDecomposition) -> int:
     return max(len(b) for b in bags) - 1
 
 
-def graph_pathwidth(G: MultiGraph, max_vertices: int = MAX_PATHWIDTH_VERTICES) -> tuple:
+def graph_pathwidth(G: MultiGraph) -> tuple:
     """Exact pw(G) and a witnessing decomposition, via the vertex-separation
     subset DP; parallel edges and loops cannot affect the value."""
     n = G.vertex_count
-    if n > max_vertices:
-        raise TooManyVertices(f"{n} vertices exceeds the cap {max_vertices}")
+    if n > MAX_PATHWIDTH_VERTICES:
+        raise TooManyVertices(f"{n} vertices exceeds the cap {MAX_PATHWIDTH_VERTICES}")
     if n == 0:
         return 0, PathDecomposition(())
     adj = G.adjacency_masks()

@@ -3,7 +3,10 @@
 Ground subsets travel as int bitmasks over column positions (ground sets are
 capped at 64 elements); every public query also accepts an iterable of
 labels.  Rank queries are memoized, and a full rank table over all 2^n
-subsets can be materialized for the exact solvers.
+subsets can be materialized for the exact solvers.  `rank_table` refuses,
+before building anything, a table whose working set (TABLE_BYTES per
+entry) would pass the exact solvers' budget EXACT_BYTES, so no table has
+more than 2^24 entries.
 
 Both backends build the table of N, the column matroid of an m x n
 generator: of the row space C (dimension k) when k <= n - k, else of its
@@ -22,8 +25,8 @@ One pass over the q^m words counts each support T in a uint32 array f;
 one subset-sum (Yates / zeta) transform, n in-place passes, turns f[T] into
 the number of words supported inside T; the exponent J = log_q f is read
 with m integer comparisons J += (f >= q^j), no float; and r_N(S) =
-m - J[E - S], the table reversed.  The working set is about 6 bytes per
-table entry.
+m - J[E - S], the table reversed.  The working set is about TABLE_BYTES
+= 6 bytes per table entry.
 
 The sweep doubles batches of echelon bases one element at a time: the
 bases of the subsets of elements 0..i-1 reduce column i all at once
@@ -65,8 +68,14 @@ from . import algebra
 from .algebra import GfMatrix
 
 MAX_GROUND = 64
-MAX_TABLE = 26  # 2^26 table entries; exact solvers apply their own caps
 ISO_MAX_GROUND = 12
+# the exact solvers' one memory rule, checked before anything is allocated:
+# TABLE_BYTES per rank-table entry (the counting backend's uint32 counts,
+# exponent and temporary) and STATE_BYTES per class-count state of the
+# pathwidth DP (lambda, B and its padding, chunk buffers), within
+# EXACT_BYTES, what a simple 24-element matroid needs
+TABLE_BYTES, STATE_BYTES = 6, 4
+EXACT_BYTES = (TABLE_BYTES + STATE_BYTES) << 24
 # rank tables are counted from codeword supports while q^min(k, n - k) is at
 # most COUNT_RATIO * 2^n, and swept otherwise; words are counted in chunks
 # of at most CHUNK_WORDS, and the sweep holds at most CHUNK_WORDS bases
@@ -92,10 +101,6 @@ def label_key(label):
     if isinstance(label, int):
         return (0, label, "")
     return (1, 0, str(label))
-
-
-def sorted_labels(labels):
-    return sorted(labels, key=label_key)
 
 
 @dataclass(frozen=True)
@@ -224,11 +229,14 @@ class VectorMatroid:
 
     def rank_table(self) -> np.ndarray:
         """Ranks of all 2^n subsets (uint8, indexed by mask), built by the
-        backend that `table_backend` names for this matroid."""
+        backend that `table_backend` names for this matroid.  Refuses before
+        building when its working set alone would pass EXACT_BYTES."""
         if self._rank_table is None:
             n = self.size
-            if n > MAX_TABLE:
-                raise GroundSetTooLarge(f"rank table needs 2^{n} entries")
+            if TABLE_BYTES << n > EXACT_BYTES:
+                raise GroundSetTooLarge(
+                    f"a 2^{n}-entry rank table would need about {(TABLE_BYTES << n) / 1e6:.0f} MB, "
+                    f"over the budget of {EXACT_BYTES / 1e6:.0f} MB")
             if table_backend(self.field.q, n, self.rank_full) == "count":
                 table = self._count_rank_table()
             else:

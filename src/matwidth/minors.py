@@ -29,7 +29,7 @@ from .matroid import (
     iso_invariants,
     table_isomorphism,
 )
-from .pathwidth import DEFAULT_EXACT_CAP, pathwidth_exact
+from .pathwidth import pathwidth_exact
 
 HOST_MAX_GROUND = 12
 PW1_MAX_GROUND = 10
@@ -137,10 +137,6 @@ def fano_representation(field: FieldSpec) -> GfMatrix:
     return GfMatrix(field, entries, cols=7)
 
 
-def graphic_matroid(G: graphmod.MultiGraph, field: FieldSpec) -> VectorMatroid:
-    return graphmod.cycle_matroid(G, field)
-
-
 # build-time validation oracles
 
 
@@ -214,10 +210,10 @@ def excluded_minor_catalog(w: int, field: FieldSpec) -> tuple:
             m = uniform_matroid(2, 4, field)
             entries.append(_entry("U24", m, 2, lambda: check_uniform(m, 2)))
         k4 = graphmod.complete_graph(4)
-        mk4 = graphic_matroid(k4, field)
+        mk4 = graphmod.cycle_matroid(k4, field)
         entries.append(_entry("MK4", mk4, 3, lambda: check_graphic_rank(mk4, k4)))
         k23 = graphmod.complete_bipartite(2, 3)
-        mk23 = graphic_matroid(k23, field)
+        mk23 = graphmod.cycle_matroid(k23, field)
         entries.append(_entry("MK23", mk23, 4, lambda: check_graphic_rank(mk23, k23)))
         mk23d = matroidmod.dual(mk23)
         entries.append(_entry("MK23*", mk23d, 2, lambda: _dual_rank_ok(mk23d, mk23)))
@@ -228,12 +224,12 @@ def excluded_minor_catalog(w: int, field: FieldSpec) -> tuple:
             f7d = matroidmod.dual(f7)
             entries.append(_entry("F7*", f7d, 4, lambda: _dual_rank_ok(f7d, f7)))
         k5 = graphmod.complete_graph(5)
-        mk5 = graphic_matroid(k5, field)
+        mk5 = graphmod.cycle_matroid(k5, field)
         entries.append(_entry("MK5", mk5, 4, lambda: check_graphic_rank(mk5, k5)))
         mk5d = matroidmod.dual(mk5)
         entries.append(_entry("MK5*", mk5d, 6, lambda: _dual_rank_ok(mk5d, mk5)))
         k33 = graphmod.complete_bipartite(3, 3)
-        mk33 = graphic_matroid(k33, field)
+        mk33 = graphmod.cycle_matroid(k33, field)
         entries.append(_entry("MK33", mk33, 5, lambda: check_graphic_rank(mk33, k33)))
         mk33d = matroidmod.dual(mk33)
         entries.append(_entry("MK33*", mk33d, 4, lambda: _dual_rank_ok(mk33d, mk33)))
@@ -268,7 +264,7 @@ def catalog_entry(name: str, field: FieldSpec) -> CatalogEntry:
 # minor search
 
 
-def minor_contains(host: VectorMatroid, pattern: VectorMatroid, host_cap: int = HOST_MAX_GROUND):
+def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
     """Search for disjoint (contract, delete) sets and a bijection making
     host / X \\ Y isomorphic to the pattern; None if no minor exists.
 
@@ -293,8 +289,8 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid, host_cap: int = 
     check-minor queries and below 1 MB on 12-element hosts against the
     w = 1 catalog."""
     n_host, n_pat = host.size, pattern.size
-    if n_host > host_cap:
-        raise HostTooLarge(f"{n_host} > {host_cap} host elements")
+    if n_host > HOST_MAX_GROUND:
+        raise HostTooLarge(f"{n_host} > {HOST_MAX_GROUND} host elements")
     if n_pat > n_host or pattern.rank_full > host.rank_full:
         return None
     T = host.rank_table()
@@ -438,10 +434,10 @@ class ExcludedMinorReport:
         }
 
 
-def verify_excluded_minor(M: VectorMatroid, w: int, exact_cap: int = DEFAULT_EXACT_CAP) -> ExcludedMinorReport:
+def verify_excluded_minor(M: VectorMatroid, w: int) -> ExcludedMinorReport:
     """Check the excluded-minor property: pw(M) > w, yet deleting or
     contracting any single element drops the pathwidth to at most w."""
-    pw = pathwidth_exact(M, exact_cap).width
+    pw = pathwidth_exact(M).width
     failures = []
     if pw <= w:
         failures.append(f"pathwidth {pw} is not above {w}")
@@ -451,7 +447,7 @@ def verify_excluded_minor(M: VectorMatroid, w: int, exact_cap: int = DEFAULT_EXA
             ("delete", MinorSpec(frozenset(), frozenset([lbl]))),
             ("contract", MinorSpec(frozenset([lbl]), frozenset())),
         ):
-            sub_pw = pathwidth_exact(apply_minor(M, spec), exact_cap).width
+            sub_pw = pathwidth_exact(apply_minor(M, spec)).width
             ok = sub_pw <= w
             results.append((lbl, op, sub_pw, ok))
             if not ok:

@@ -47,6 +47,13 @@ B(S - e), so this is the subset DP's tie rule: the e with smallest
 (B(S - e), tie_key(e), e).  On the apex matroids of the graph reduction
 every element has a parallel twin, so an n-element instance has 3^(n/2)
 states instead of 2^n.
+
+The solver has one refusal rule, a byte budget checked before anything is
+allocated: TABLE_BYTES per entry of the simplification's rank table plus
+STATE_BYTES per class-count state must fit in EXACT_BYTES (`matroid`),
+what a simple 24-element matroid needs.  The number of elements does not
+count by itself: K5's apex matroid (30 elements, 15 parallel pairs, a
+2^15 table and 3^15 states) fits, a simple 25-element matroid does not.
 """
 
 from __future__ import annotations
@@ -57,15 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .matroid import VectorMatroid, delete, label_key
+from .matroid import EXACT_BYTES, STATE_BYTES, TABLE_BYTES, VectorMatroid, delete, label_key
 
-DEFAULT_EXACT_CAP = 24
-# bytes the exact solver needs per entry of the simplification's rank table
-# (the counting backend's uint32 counts, exponent and temporary) and per
-# class-count state (lambda, B and its padding, chunk buffers); the budget
-# admits every matroid within the default cap
-TABLE_BYTES, STATE_BYTES = 6, 4
-EXACT_BYTES = (TABLE_BYTES + STATE_BYTES) << DEFAULT_EXACT_CAP
 LOW_STATES = 1 << 16  # low part of the state space, grouped by digit sum once
 CHUNK = 1 << 12  # states relaxed at once, or 1/128 of the states on large spaces
 ONE_GATHER = 1 << 13  # up to this many predecessors, one gather at computed indices
@@ -76,7 +76,7 @@ class NotAPermutation(ValueError):
 
 
 class GroundSetTooLargeForExact(ValueError):
-    """Ground set exceeds the exact solver's cap; no silent approximation."""
+    """The exact solver's memory budget refuses the input; no silent approximation."""
 
 
 class TooFewElements(ValueError):
@@ -353,15 +353,11 @@ class _StateSpace:
                     yield (base[i:i + step, None] + G).reshape(-1), bmax <= w
 
 
-def pathwidth_exact(M: VectorMatroid, exact_cap: int = DEFAULT_EXACT_CAP) -> WidthCertificate:
-    """Optimal width and a witnessing ordering.  Refuses beyond the cap (in
-    elements, whatever the classes), and before allocating anything when
-    the simplification's rank table and the class-count states would need
-    more than EXACT_BYTES."""
-    n = M.size
-    if n > exact_cap:
-        raise GroundSetTooLargeForExact(f"{n} elements exceeds the exact cap {exact_cap}")
-    if n == 0:
+def pathwidth_exact(M: VectorMatroid) -> WidthCertificate:
+    """Optimal width and a witnessing ordering.  Refuses, before allocating
+    anything, when the simplification's rank table and the class-count
+    states would need more than EXACT_BYTES (module docstring)."""
+    if M.size == 0:
         return WidthCertificate(0, (), ())
     classes = parallel_classes(M)
     _, states = _strides(classes)

@@ -1,0 +1,36 @@
+"""Smoke test of the benchmark scripts: each one's child mode (`--one`) on
+its smallest input, against this source tree, in a fresh interpreter, so
+an API change that breaks a script fails here and not in a later
+before/after run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SMALLEST = {
+    "rank_tables.py": ("64", "10", "2", "count"),
+    "prefix_dp.py": ("apex", "P6"),
+    "minor_search.py": ("minor", "W5:U24"),
+}
+
+
+def test_every_script_has_a_smoke_input():
+    scripts = {p.name for p in (ROOT / "benchmarks").glob("*.py")} - {"harness.py"}
+    assert scripts == set(SMALLEST)
+
+
+@pytest.mark.parametrize("script", sorted(SMALLEST))
+def test_child_mode_runs_on_the_smallest_input(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, str(ROOT / "benchmarks" / script), "--one", *SMALLEST[script]]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert "skipped" not in result
+    assert len(result["runs"]) == 3 and result["best_s"] == min(result["runs"])
+    assert result["tracemalloc_mb"] > 0 and "answer" in result

@@ -7,7 +7,7 @@ import pytest
 from matwidth import algebra
 from matwidth.cli import main
 from matwidth.codes import catalog_code, code_to_text
-from matwidth.graph import complete_graph, graph_from_text, graph_to_text
+from matwidth.graph import complete_graph, cycle_graph, graph_from_text, graph_to_text
 from matwidth.matroid import matroid_from_text, matroid_to_text
 
 U24_TEXT = "3 2 4\n1 0 1 1\n0 1 1 2\n"
@@ -67,6 +67,20 @@ def test_pathwidth_heuristic_decide_falls_back_to_exact(capsys, u24_file):
     assert payload["decide"]["answer"] == "yes"
 
 
+def test_pathwidth_heuristic_decide_fallback_reports_the_exact_certificate(capsys, tmp_path):
+    # an 8-element rank-5 GF(3) matroid of greedy width 3 and pathwidth 2
+    p = tmp_path / "m8.mat"
+    p.write_text("3 5 8\n1 2 1 2 2 1 1 0\n2 2 2 1 0 2 0 2\n0 0 0 1 0 0 0 2\n"
+                 "0 0 1 0 2 2 1 1\n1 2 1 0 2 0 2 1\n")
+    code, payload, err = run(capsys, "pathwidth", str(p), "--heuristic")
+    assert payload["exact"] is False and payload["certificate"]["width"] == 3
+    code, payload, err = run(capsys, "pathwidth", str(p), "--heuristic", "--decide", "2")
+    assert code == 0
+    assert payload["exact"] is True and payload["certificate"]["width"] == 2
+    assert payload["decide"] == {"w": 2, "answer": "yes"}
+    assert err.strip() == "width 2 on 8 elements; pathwidth <= 2: yes"
+
+
 def test_tw_repetition(capsys, tmp_path):
     p = tmp_path / "rep.code"
     p.write_text(REP4_TEXT)
@@ -114,10 +128,20 @@ def test_reduce_k5_verify_past_the_default_cap(capsys, tmp_path):
     # exact solver's memory budget
     p = tmp_path / "k5.graph"
     p.write_text(graph_to_text(complete_graph(5)))
-    code, payload, err = run(capsys, "reduce", str(p), "--verify", "--exact-cap", "30")
+    code, payload, err = run(capsys, "reduce", str(p), "--verify")
     assert code == 0
     assert payload["verify"] == {"pw_graph": 4, "pw_matroid": 5, "identity": True}
     assert "pw 5 = 4 + 1" in err
+
+
+def test_reduce_c7_verify(capsys, tmp_path):
+    # 28 elements in 14 parallel pairs: 3^14 class-count states
+    p = tmp_path / "c7.graph"
+    p.write_text(graph_to_text(cycle_graph(7)))
+    code, payload, err = run(capsys, "reduce", str(p), "--verify")
+    assert code == 0
+    assert payload["verify"] == {"pw_graph": 2, "pw_matroid": 3, "identity": True}
+    assert "pw 3 = 2 + 1" in err
 
 
 def test_pathwidth_over_the_memory_budget_is_error(capsys, tmp_path):
@@ -125,9 +149,19 @@ def test_pathwidth_over_the_memory_budget_is_error(capsys, tmp_path):
     cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, 31)]
     p = tmp_path / "big.mat"
     p.write_text("2 5 30\n" + "\n".join(" ".join(str(c[i]) for c in cols) for i in range(5)) + "\n")
-    code, payload, _ = run(capsys, "pathwidth", str(p), "--exact-cap", "30")
+    code, payload, _ = run(capsys, "pathwidth", str(p))
     assert code == 1
     assert "budget" in payload["error"]
+
+
+def test_tw_over_the_memory_budget_is_error(capsys, tmp_path):
+    # a simple length-25 code: 25 distinct nonzero coordinates of GF(2)^5
+    cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, 26)]
+    p = tmp_path / "big.code"
+    p.write_text("2 5 25\n" + "\n".join(" ".join(str(c[i]) for c in cols) for i in range(5)) + "\n")
+    code, payload, err = run(capsys, "tw", str(p))
+    assert code == 1
+    assert "budget" in payload["error"] and err.startswith("error: ")
 
 
 def test_check_minor_named_pattern(capsys, tmp_path, u24_file):

@@ -212,12 +212,16 @@ def test_tw_equals_tw_of_dual():
         assert trellis_width(C).width == trellis_width(dual_code(C)).width
 
 
-def test_tw_cap():
-    from matwidth.codes import LengthTooLargeForExact
+def test_tw_of_an_oversized_code_is_refused_by_the_budget():
+    from matwidth.pathwidth import GroundSetTooLargeForExact
 
-    C = LinearCode(matrix(GF2, [tuple([1] * 10)]))
-    with pytest.raises(LengthTooLargeForExact):
-        trellis_width(C, exact_cap=8)
+    # 25 distinct nonzero coordinates of GF(2)^5: a simple length-25 code
+    cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, 26)]
+    C = LinearCode(matrix(GF2, [[c[i] for c in cols] for i in range(5)]))
+    with pytest.raises(GroundSetTooLargeForExact, match="budget"):
+        trellis_width(C)
+    # the length alone is not refused: 25 repeated coordinates
+    assert trellis_width(LinearCode(matrix(GF2, [[1] * 25]))).width == 1
 
 
 def test_state_profile_repetition():

@@ -9,9 +9,8 @@ import pytest
 
 from matwidth.algebra import identity_matrix, rank_of_columns
 from matwidth.graph import MultiGraph, complete_graph, cycle_graph, cycle_matroid
-from matwidth.matroid import VectorMatroid, direct_sum, dual, label_key
+from matwidth.matroid import GroundSetTooLarge, VectorMatroid, direct_sum, dual, label_key
 from matwidth.pathwidth import (
-    DEFAULT_EXACT_CAP,
     EXACT_BYTES,
     STATE_BYTES,
     TABLE_BYTES,
@@ -437,32 +436,45 @@ def test_class_lambdas_on_a_simple_matroid_are_the_subset_table():
     assert np.array_equal(lam, ranks + ranks[::-1] - M.rank_full)
 
 
-def test_exact_cap_enforced():
-    M = matroid(GF2, [[1] * 25])
-    with pytest.raises(GroundSetTooLargeForExact):
-        pathwidth_exact(M)
-    small = matroid(GF2, [[1] * 5])
-    with pytest.raises(GroundSetTooLargeForExact):
-        pathwidth_exact(small, exact_cap=4)
-    assert pathwidth_exact(small, exact_cap=5).width == 1
+def test_exact_width_of_25_parallel_copies():
+    # one class of 25: a 2-entry table and 26 states, far within the budget
+    cert = pathwidth_exact(matroid(GF2, [[1] * 25]))
+    assert cert.width == 1 and cert.prefix_lambdas == (1,) * 24 + (0,)
+
+
+def _simple_gf2_columns(n):
+    """n distinct nonzero columns of GF(2)^5, as the 5 rows of a matrix."""
+    cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, n + 1)]
+    return [[c[i] for c in cols] for i in range(5)]
+
+
+def test_a_simple_25_element_matroid_is_refused_before_any_backend_runs(monkeypatch):
+    def no_backend(self):
+        raise AssertionError("rank-table backend ran")
+
+    monkeypatch.setattr(VectorMatroid, "_count_rank_table", no_backend)
+    monkeypatch.setattr(VectorMatroid, "_sweep_rank_table", no_backend)
+    with pytest.raises(GroundSetTooLarge, match="budget"):
+        matroid(GF2, _simple_gf2_columns(25)).rank_table()
+    with pytest.raises(GroundSetTooLargeForExact, match="budget"):
+        pathwidth_exact(matroid(GF2, _simple_gf2_columns(25)))
 
 
 def test_exact_refuses_an_oversized_dp_before_allocating(monkeypatch):
     # the 30 nonzero vectors of GF(2)^5 but one: simple, so its table alone
     # would hold 2^30 entries
-    cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, 31)]
-    M = matroid(GF2, [[c[i] for c in cols] for i in range(5)])
+    M = matroid(GF2, _simple_gf2_columns(30))
 
     def no_table(self):
         raise AssertionError("rank table built")
 
     monkeypatch.setattr(VectorMatroid, "rank_table", no_table)
     with pytest.raises(GroundSetTooLargeForExact, match="budget"):
-        pathwidth_exact(M, exact_cap=30)
+        pathwidth_exact(M)
 
 
-def test_exact_budget_admits_every_matroid_within_the_default_cap():
-    assert EXACT_BYTES >= (TABLE_BYTES + STATE_BYTES) * 2**DEFAULT_EXACT_CAP
+def test_exact_budget_admits_every_simple_24_element_matroid():
+    assert EXACT_BYTES >= (TABLE_BYTES + STATE_BYTES) * 2**24
     # 15 parallel pairs of K5's apex matroid: a 2^15 table and 3^15 states
     assert TABLE_BYTES * 2**15 + STATE_BYTES * 3**15 <= EXACT_BYTES
 
