@@ -544,6 +544,8 @@ def matrix_from_lines(lines, start: int = 0) -> tuple:
         m, n = int(header[1]), int(header[2])
     except (ValueError, NonPrimeCharacteristic, FieldTooLarge) as exc:
         raise MatrixFormatError(str(exc), line=i + 1) from exc
+    if m < 0 or n < 0:
+        raise MatrixFormatError("row and column counts must be nonnegative", line=i + 1)
     i += 1
     rows = []
     for r in range(m):

@@ -1,7 +1,8 @@
-"""Linear codes as labelled generator matrices: puncturing and shortening,
-duals, equivalence with explicit (permutation, diagonal) witnesses,
-trellis-width via the associated matroid, and the catalog codes used by the
-trellis-width-one characterization.
+"""Linear codes as the vector matroids of their labelled generator
+matrices, so puncturing, shortening and duals are the matroid layer's
+deletion, contraction and dual; equivalence with explicit (permutation,
+diagonal) witnesses, trellis-width as matroid pathwidth, and the catalog
+codes used by the trellis-width-one characterization.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import numpy as np
 
 from . import algebra, minors
 from .algebra import FieldSpec, GfMatrix
-from .matroid import VectorMatroid, _span_words
-from .pathwidth import NotAPermutation, WidthCertificate, pathwidth_exact, width_of_ordering
+from .matroid import VectorMatroid, _span_words, contract, delete, dual, matroid_to_text, parse_matroid_text
+from .pathwidth import WidthCertificate, pathwidth_exact, width_of_ordering
 
 EQUIV_MAX_LENGTH = 7
-TW1_MAX_LENGTH = 10
 
 
 class UnknownLabel(ValueError):
@@ -38,34 +38,28 @@ class FieldTooSmallForMDS(ValueError):
     """The Vandermonde-with-infinity construction needs q >= n - 1."""
 
 
-class LinearCode:
+class LinearCode(VectorMatroid):
     """A length-n code given by any generator matrix (rows may be dependent;
-    the dimension is always the matrix rank).  Coordinates carry distinct
-    labels, (1..n) by default."""
+    the dimension is always the matrix rank), as the vector matroid of the
+    generator's columns: the ground set is the coordinate labels, (1..n) by
+    default, and puncturing and shortening are deletion and contraction."""
 
-    def __init__(self, generator: GfMatrix, labels=None):
-        if labels is None:
-            labels = tuple(range(1, generator.cols + 1))
-        else:
-            labels = tuple(labels)
-        if len(labels) != generator.cols:
-            raise ValueError(f"{len(labels)} labels for {generator.cols} coordinates")
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be pairwise distinct")
-        self.generator = generator
-        self.field = generator.field
-        self.labels = labels
-        self.dim = algebra.rank(generator)
-        self._matroid = None
+    @property
+    def generator(self) -> GfMatrix:
+        return self.matrix
 
     @property
     def length(self) -> int:
-        return self.generator.cols
+        return self.size
+
+    @property
+    def dim(self) -> int:
+        return self.rank_full
 
     def position(self, label) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._pos[label]
+        except KeyError:
             raise UnknownLabel(f"unknown coordinate label {label!r}") from None
 
     def __repr__(self):
@@ -73,47 +67,36 @@ class LinearCode:
 
 
 def code_matroid(C: LinearCode) -> VectorMatroid:
-    """The vector matroid of the generator's columns, ground set = labels.
-    Independent of which generator matrix represents the code."""
-    if C._matroid is None:
-        C._matroid = VectorMatroid(C.generator, C.labels)
-    return C._matroid
+    """The vector matroid of the generator's columns, ground set = labels:
+    the code itself.  Independent of which generator represents the code."""
+    return C
 
 
 def dual_code(C: LinearCode) -> LinearCode:
     """Generator of the orthogonal complement; label sequence unchanged."""
-    return LinearCode(algebra.orthogonal_complement(C.generator), C.labels)
+    return dual(C)
 
 
 def puncture(C: LinearCode, J) -> LinearCode:
     """Drop the coordinates with labels in J; remaining labels keep order."""
-    J = frozenset(J)
-    for lbl in J:
-        if lbl not in C.labels:
-            raise UnknownLabel(f"unknown coordinate label {lbl!r}")
-    keep = [i for i, lbl in enumerate(C.labels) if lbl not in J]
-    entries = [[row[i] for i in keep] for row in C.generator.entries]
-    gen = GfMatrix(C.field, entries, cols=len(keep))
-    return LinearCode(gen, tuple(C.labels[i] for i in keep))
+    return delete(C, J)
 
 
 def shorten(C: LinearCode, J) -> LinearCode:
-    """Shortening = dual, puncture, dual."""
-    return dual_code(puncture(dual_code(C), J))
+    """The codewords vanishing on J, restricted to the other coordinates."""
+    return contract(C, J)
 
 
 def trellis_width(C: LinearCode) -> WidthCertificate:
     """tw(C) = pathwidth of the associated matroid, with an optimal
     coordinate ordering as the certificate; refused as `pathwidth_exact`
     refuses it (GroundSetTooLargeForExact)."""
-    return pathwidth_exact(code_matroid(C))
+    return pathwidth_exact(C)
 
 
 def state_profile(C: LinearCode, ordering) -> tuple:
     """The per-prefix connectivity values under a coordinate ordering."""
-    if set(ordering) != set(C.labels) or len(tuple(ordering)) != C.length:
-        raise NotAPermutation("ordering must list every coordinate label exactly once")
-    return width_of_ordering(code_matroid(C), ordering).prefix_lambdas
+    return width_of_ordering(C, ordering).prefix_lambdas
 
 
 # ---------------------------------------------------------------------------
@@ -291,40 +274,24 @@ class Tw1Witness:
     certificate: minors.MinorCertificate
 
     def to_doc(self) -> dict:
-        doc = self.certificate.to_doc()
-        doc["pattern"] = self.pattern_name
-        return doc
+        return self.certificate.to_doc()
 
 
 def tw_le_1_check(C: LinearCode):
-    """(tw(C) <= 1, excluded-minor witness or None).  The witness search and
-    the exact solver are both run and must agree."""
-    if C.length > TW1_MAX_LENGTH:
-        raise LengthTooLarge(f"length {C.length} exceeds the cap {TW1_MAX_LENGTH}")
-    ok = trellis_width(C).width <= 1
-    cert = minors.catalog_minor_witness(code_matroid(C), 1)
-    witness = None if cert is None else Tw1Witness(cert.pattern_name, cert)
-    if ok != (witness is None):
-        raise RuntimeError(
-            "trellis-width solver and excluded-minor search disagree; "
-            "this indicates an implementation bug"
-        )
-    return ok, witness
+    """(tw(C) <= 1, excluded-minor witness or None) by `pw_le_1_by_minors`,
+    which runs the witness search and the exact solver and requires them to
+    agree."""
+    if C.length > minors.PW1_MAX_GROUND:
+        raise LengthTooLarge(f"length {C.length} exceeds the cap {minors.PW1_MAX_GROUND}")
+    ok, cert = minors.pw_le_1_by_minors(C)
+    return ok, None if cert is None else Tw1Witness(cert.pattern_name, cert)
 
 
 # ---------------------------------------------------------------------------
 # code files: matrix text plus optional labels line
 
-
-def code_to_text(C: LinearCode) -> str:
-    text = algebra.matrix_to_text(C.generator)
-    if C.labels != tuple(range(1, C.length + 1)):
-        text += "labels " + " ".join(str(lbl) for lbl in C.labels) + "\n"
-    return text
+code_to_text = matroid_to_text
 
 
 def code_from_text(text: str) -> LinearCode:
-    from .matroid import matroid_from_text
-
-    M = matroid_from_text(text)
-    return LinearCode(M.matrix, M.labels)
+    return LinearCode(*parse_matroid_text(text))

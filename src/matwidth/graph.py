@@ -49,6 +49,8 @@ class MultiGraph:
     edges: tuple
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise ValueError(f"negative vertex count {self.vertex_count}")
         edges = tuple((u, v, lbl) for u, v, lbl in self.edges)
         object.__setattr__(self, "edges", edges)
         for u, v, _ in edges:

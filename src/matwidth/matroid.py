@@ -116,7 +116,8 @@ class MinorSpec:
 
 
 class VectorMatroid:
-    """The matroid of a matrix's columns, with memoized rank oracles.
+    """The matroid of a matrix's columns, with memoized rank oracles;
+    columns[j] is column j of the matrix as a tuple.
 
     Logically immutable; the internal caches only memoize pure functions, so
     concurrent queries are safe (recomputing an entry is idempotent).
@@ -137,7 +138,7 @@ class VectorMatroid:
         self.field = matrix.field
         self.labels = labels
         self._pos = {lbl: i for i, lbl in enumerate(labels)}
-        self._cols = tuple(matrix.column(j) for j in range(matrix.cols))
+        self.columns = tuple(matrix.columns())
         self.rank_full = algebra.rank(matrix)
         self._rank_cache = {0: 0}
         self._lambda_cache = {}
@@ -193,7 +194,7 @@ class VectorMatroid:
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        cols = [self._cols[i] for i in _bit_positions(mask)]
+        cols = [self.columns[i] for i in _bit_positions(mask)]
         r = algebra.rank_of_columns(self.field, cols)
         self._rank_cache[mask] = r
         return r
@@ -411,7 +412,8 @@ def apply_minor(M: VectorMatroid, spec: MinorSpec) -> VectorMatroid:
     at 1 for a contracted element, at 0 for a deleted one and kept whole
     otherwise, a copy of 2^|N| entries with no index array.  The matrix of
     N is still built, so the checks that eliminate on it (`width_of_ordering`,
-    `replay_certificate`, `pathwidth_exact`) never depend on the table."""
+    `replay_certificate`, `pathwidth_exact`) never depend on the table.  N
+    has M's type, so the minors of a code are codes."""
     cmask = M.mask_of(spec.contract)
     dmask = M.mask_of(spec.delete)
     if cmask & dmask:
@@ -419,15 +421,15 @@ def apply_minor(M: VectorMatroid, spec: MinorSpec) -> VectorMatroid:
     field = M.field
     basis = []
     for i in _bit_positions(cmask):
-        algebra.echelon_push(field, basis, M._cols[i])
+        algebra.echelon_push(field, basis, M.columns[i])
     pivots = {row.index(1) for row in basis}
     keep_rows = [r for r in range(M.matrix.rows) if r not in pivots]
     drop_cols = cmask | dmask
     keep_cols = [j for j in range(M.size) if not (drop_cols >> j) & 1]
-    cols = [algebra.reduce_vector(field, basis, M._cols[j]) for j in keep_cols]
+    cols = [algebra.reduce_vector(field, basis, M.columns[j]) for j in keep_cols]
     entries = [[col[r] for col in cols] for r in keep_rows]
     sub = GfMatrix(field, entries, cols=len(keep_cols))
-    N = VectorMatroid(sub, tuple(M.labels[j] for j in keep_cols))
+    N = type(M)(sub, tuple(M.labels[j] for j in keep_cols))
     if M._rank_table is not None:
         axes = tuple(1 if (cmask >> i) & 1 else 0 if (dmask >> i) & 1 else slice(None)
                      for i in reversed(range(M.size)))
@@ -446,8 +448,8 @@ def contract(M: VectorMatroid, labels) -> VectorMatroid:
 
 
 def dual(M: VectorMatroid) -> VectorMatroid:
-    """The dual matroid via [I | B] -> [-B^T | I], labels preserved."""
-    return VectorMatroid(algebra.orthogonal_complement(M.matrix), M.labels)
+    """The dual matroid via [I | B] -> [-B^T | I], labels and type preserved."""
+    return type(M)(algebra.orthogonal_complement(M.matrix), M.labels)
 
 
 def direct_sum(M1: VectorMatroid, M2: VectorMatroid) -> VectorMatroid:
@@ -592,6 +594,11 @@ def _parse_label_token(tok: str):
 
 
 def matroid_from_text(text: str) -> VectorMatroid:
+    return VectorMatroid(*parse_matroid_text(text))
+
+
+def parse_matroid_text(text: str) -> tuple:
+    """(matrix, labels or None) of a matroid file."""
     lines = text.splitlines()
     mat, nxt = algebra.matrix_from_lines(lines)
     labels = None
@@ -607,4 +614,4 @@ def matroid_from_text(text: str) -> VectorMatroid:
                 f"expected {mat.cols} labels, found {len(toks) - 1}", line=i + 1
             )
         labels = tuple(_parse_label_token(t) for t in toks[1:])
-    return VectorMatroid(mat, labels)
+    return mat, labels

@@ -364,17 +364,14 @@ def replay_certificate(host: VectorMatroid, pattern: VectorMatroid, cert: MinorC
             or set(bij.values()) != kept or len(kept) != pattern.size):
         return False
     field = host.field
-
-    def column(M, lbl):
-        return M.matrix.column(M.position(lbl))
-
-    x_cols = [column(host, lbl) for lbl in X]
+    x_cols = [host.columns[host.position(lbl)] for lbl in X]
     r_x = rank_of_columns(field, x_cols)
     n = pattern.size
+    images = [host.columns[host.position(bij[lbl])] for lbl in pattern.labels]
     for mask in range(1 << n):
-        subset = [pattern.labels[i] for i in range(n) if (mask >> i) & 1]
-        r_pat = rank_of_columns(pattern.field, [column(pattern, lbl) for lbl in subset])
-        r_minor = rank_of_columns(field, x_cols + [column(host, bij[lbl]) for lbl in subset]) - r_x
+        idx = [i for i in range(n) if (mask >> i) & 1]
+        r_pat = rank_of_columns(pattern.field, [pattern.columns[i] for i in idx])
+        r_minor = rank_of_columns(field, x_cols + [images[i] for i in idx]) - r_x
         if r_pat != r_minor:
             return False
     return True

@@ -58,6 +58,7 @@ count by itself: K5's apex matroid (30 elements, 15 parallel pairs, a
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -119,7 +120,7 @@ def width_of_ordering(M: VectorMatroid, ordering) -> WidthCertificate:
     from one echelon_push pass in order, r(E - prefix) from one in reverse
     order."""
     ordering = _check_permutation(M, ordering)
-    cols = [M.matrix.column(M.position(lbl)) for lbl in ordering]
+    cols = [M.columns[M.position(lbl)] for lbl in ordering]
 
     def ranks(seq):
         basis, out = [], []
@@ -141,7 +142,7 @@ def parallel_classes(M: VectorMatroid) -> list:
     field = M.field
     classes = {}
     for j in range(M.size):
-        col = M.matrix.column(j)
+        col = M.columns[j]
         lead = next((x for x in col if x), 0)
         key = tuple(field.mul(field.inv(lead), x) for x in col) if lead else None
         classes.setdefault(key, []).append(j)
@@ -162,7 +163,7 @@ def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
     simplification's rank table gathered along each class axis, for r(S) at
     count c by [c > 0] and for r(E - S) by [c = |class|] on the reversed
     table.  The simplification is M itself when M is simple."""
-    loop = next((j for j, c in enumerate(classes) if not any(M.matrix.column(c[0]))), None)
+    loop = next((j for j, c in enumerate(classes) if not any(M.columns[c[0]])), None)
     reps = {c[0] for j, c in enumerate(classes) if j != loop}
     if len(reps) == M.size:
         simple = M
@@ -225,17 +226,23 @@ def prefix_dp(cost: np.ndarray, classes, tie_key) -> tuple:
     return int(B[size - 1]), seq[::-1]
 
 
-def _digit_groups(radices, dtype) -> list:
+@functools.cache
+def _digit_groups(radices: tuple, dtype) -> tuple:
     """The mixed-radix numbers below prod(radices), first radix fastest,
-    grouped by digit sum, each group in descending order.  x and its
-    complement prod - 1 - x have digit sums adding up to the largest, so
-    only the lower half of the groups is found by scanning."""
+    grouped by digit sum, each group in descending order, as read-only
+    arrays.  x and its complement prod - 1 - x have digit sums adding up to
+    the largest, so only the lower half of the groups is found by scanning.
+    Kept per (radices, dtype): a run solves many instances with the same
+    class sizes."""
     sums = np.zeros(1, dtype=np.uint8)
     for r in radices:
         sums = (np.arange(r, dtype=np.uint8)[:, None] + sums).reshape(-1)
     top, last = int(sums[-1]), sums.size - 1
     groups = [(sums == s).nonzero()[0][::-1].astype(dtype) for s in range(top // 2 + 1)]
-    return groups + [(last - g)[::-1] for g in reversed(groups[:(top + 1) // 2])]
+    groups += [(last - g)[::-1] for g in reversed(groups[:(top + 1) // 2])]
+    for g in groups:
+        g.flags.writeable = False
+    return tuple(groups)
 
 
 class _StateSpace:
@@ -253,7 +260,7 @@ class _StateSpace:
     predecessor is a plain gather at x."""
 
     def __init__(self, cost, classes):
-        radices = [len(c) + 1 for c in classes]
+        radices = tuple(len(c) + 1 for c in classes)
         strides, size = _strides(classes)
         k, low = 0, 1
         while k < len(radices) and low * radices[k] <= LOW_STATES:

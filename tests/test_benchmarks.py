@@ -16,6 +16,7 @@ SMALLEST = {
     "rank_tables.py": ("64", "10", "2", "count"),
     "prefix_dp.py": ("apex", "P6"),
     "minor_search.py": ("minor", "W5:U24"),
+    "cli_ops.py": ("reduce-verify", "1", "0"),
 }
 
 

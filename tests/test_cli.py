@@ -293,3 +293,17 @@ def test_parser_built_once_answers_as_a_fresh_one(capsys, tmp_path, u24_file):
     parser = build_parser()
     assert outputs(False) == fresh
     assert build_parser() is parser
+
+
+@pytest.mark.parametrize("command,text,parse,error", [
+    ("pathwidth", "2 -1 3\n", matroid_from_text, algebra.MatrixFormatError),
+    ("pathwidth", "2 0 -2\n", matroid_from_text, algebra.MatrixFormatError),
+    ("reduce", "-1\n", graph_from_text, ValueError),
+], ids=["rows", "columns", "vertices"])
+def test_negative_counts_are_errors(capsys, tmp_path, command, text, parse, error):
+    p = tmp_path / "negative.txt"
+    p.write_text(text)
+    code, payload, _ = run(capsys, command, str(p))
+    assert code == 1 and "negative" in payload["error"]
+    with pytest.raises(error, match="negative"):
+        parse(text)

@@ -30,7 +30,8 @@ from matwidth.codes import (
     tw_le_1_check,
 )
 from matwidth.graph import complete_graph, cycle_matroid
-from matwidth.matroid import is_isomorphic
+from matwidth.matroid import GroundSetTooLarge, VectorMatroid, is_isomorphic
+from matwidth.minors import pw_le_1_by_minors
 from util import GF2, GF3, GF5, REF_FIELDS, matrix, ref_random_rows, ref_row_space, uniform_check
 
 REP31 = LinearCode(matrix(GF2, [(1, 1, 1)]))
@@ -446,3 +447,45 @@ def test_code_text_round_trip():
     D = code_from_text(text)
     assert D.generator == C.generator and D.labels == C.labels
     assert code_to_text(D) == text
+
+
+# ---------------------------------------------------------------------------
+# codes are their generators' vector matroids
+
+
+def test_code_is_its_matroid():
+    C = catalog_code("C_K23", 3)
+    assert code_matroid(C) is C and isinstance(C, VectorMatroid)
+    for child in (dual_code(C), puncture(C, [2]), shorten(C, [2])):
+        assert type(child) is LinearCode
+
+
+def test_puncture_and_shorten_read_tables_off_the_parent():
+    rng = np.random.default_rng(23)
+    for field in (GF2, GF3):
+        for _ in range(4):
+            C = random_code(rng, field, 7)
+            C.rank_table()
+            J = [int(x) for x in rng.choice(np.arange(1, 8), size=int(rng.integers(1, 4)), replace=False)]
+            for S in (puncture(C, J), shorten(C, J)):
+                assert isinstance(S, LinearCode) and S._rank_table is not None
+                fresh = VectorMatroid(S.generator, S.labels).rank_table()
+                assert np.array_equal(S.rank_table(), fresh)
+
+
+def test_tw1_check_is_pw1_by_minors():
+    rng = np.random.default_rng(29)
+    for field in (GF2, GF3):
+        for n in (4, 6, 8, 10, 10):
+            rows = rng.integers(0, field.q, (n // 2, n)).tolist()
+            C = code(field, rows)
+            ok, witness = tw_le_1_check(C)
+            ok_m, cert = pw_le_1_by_minors(C)
+            assert ok == ok_m and (witness is None) == (cert is None)
+            if witness is not None:
+                assert witness.to_doc() == cert.to_doc()
+
+
+def test_code_past_64_coordinates_is_refused():
+    with pytest.raises(GroundSetTooLarge):
+        LinearCode(matrix(GF2, [[1] * 65]))
