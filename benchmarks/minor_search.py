@@ -17,7 +17,11 @@ fresh interpreter per tree and case, the trees taking turns).  Cases:
 - "host12": `catalog_minor_witness(M, 1)` over GF(3) on the cycle matroid
   of the umbrella with parallel counts 2, 2, 2, 1 (12 elements, pathwidth
   1, so each of the four searches runs to the end), a fresh matroid for
-  each run.
+  each run;
+- "iso": `table_isomorphism` on the GF(3) cycle matroid of K25 and the
+  MK5* catalog entry (10 elements each, equal on the layer profiles and
+  the element invariants, not isomorphic), in both argument orders; both
+  tables are built before the clock starts.
 
 The answer (certificate or report) must agree between trees.
 """
@@ -33,6 +37,7 @@ HOSTS = ("W5", "K33", "fan5", "K25", "C9")
 PATTERNS = ("U24", "MK4", "MK23", "MK23*")
 EXCLUDED = ("F7", "F7*", "MK5", "MK5*", "MK33", "MK33*", "U36")
 UMBRELLA = (2, 2, 2, 1)
+ISO_PAIRS = ("K25:MK5*", "MK5*:K25")
 
 
 def _host_graph(name: str):
@@ -51,7 +56,7 @@ def runner(group: str, arg: str):
     """One case of the named group (module docstring)."""
     from matwidth.algebra import field_from_order
     from matwidth.graph import cycle_matroid, make_umbrella
-    from matwidth.matroid import VectorMatroid
+    from matwidth.matroid import VectorMatroid, table_isomorphism
     from matwidth.minors import catalog_entry, catalog_minor_witness, minor_contains, verify_excluded_minor
 
     if group == "minor":
@@ -78,6 +83,18 @@ def runner(group: str, arg: str):
             return time.perf_counter() - start, report.to_doc()
 
         return run
+    if group == "iso":
+        field = field_from_order(3)
+        M, N = (cycle_matroid(_host_graph(name), field) if name in HOSTS else catalog_entry(name, field).matroid
+                for name in arg.split(":"))
+        tables = (M.rank_table(), M.labels, N.rank_table(), N.labels)
+
+        def run():
+            start = time.perf_counter()
+            bij = table_isomorphism(*tables)
+            return time.perf_counter() - start, None if bij is None else sorted(map(str, bij.items()))
+
+        return run
     field = field_from_order(3)
     catalog_entry("U24", field)  # builds the w = 1 catalog before the clock starts
     graph = make_umbrella(UMBRELLA)
@@ -94,7 +111,8 @@ def runner(group: str, arg: str):
 CASES = [({"group": group, "input": arg}, (group, arg)) for group, arg in
          [("minor", f"{h}:{p}") for h in HOSTS for p in PATTERNS]
          + [("excluded", name) for name in EXCLUDED]
-         + [("host12", "umbrella-" + "-".join(map(str, UMBRELLA)))]]
+         + [("host12", "umbrella-" + "-".join(map(str, UMBRELLA)))]
+         + [("iso", pair) for pair in ISO_PAIRS]]
 
 if __name__ == "__main__":
     sys.exit(harness.main(__file__, __doc__, runner, CASES))

@@ -398,24 +398,6 @@ def unit_rows(field: FieldSpec, rows) -> tuple:
     return field.mul_array.ravel()[field.inv_array[c] * np.uint16(field.q) + rows], lead
 
 
-def canonical_insert(field: FieldSpec, basis: tuple, residue) -> tuple:
-    """Canonical step: add a nonzero residue of `reduce_vector` to a reduced
-    basis.  The result is the span's reduced row-echelon basis, sorted by
-    pivot, so equal spans give equal tuples."""
-    add, neg, mul = field.add_table, field.neg_table, field.mul_table
-    v = _unit_row(field, residue)
-    p = v.index(1)
-    grown = [v]
-    for row in basis:
-        c = row[p]
-        if c:
-            m = mul[neg[c]]
-            row = tuple(add[x][m[y]] for x, y in zip(row, v))
-        grown.append(row)
-    grown.sort(key=lambda row: row.index(1))
-    return tuple(grown)
-
-
 def rank(A: GfMatrix) -> int:
     """Rank of the row space."""
     return rank_of_columns(A.field, A.entries)
@@ -441,12 +423,14 @@ def rref(A: GfMatrix) -> tuple:
         (its length is the rank).
     """
     f = A.field
-    basis = ()
+    basis = []
     for row in A.entries:
-        v = reduce_vector(f, basis, row)
-        if any(v):
-            basis = canonical_insert(f, basis, v)
-    rows = list(basis) + [(0,) * A.cols] * (A.rows - len(basis))
+        echelon_push(f, basis, row)
+    # each row is zero at the pivots before it; clearing it at the pivots
+    # after it leaves the reduced basis
+    basis = sorted((tuple(reduce_vector(f, basis[i + 1:], row)) for i, row in enumerate(basis)),
+                   key=lambda row: row.index(1))
+    rows = basis + [(0,) * A.cols] * (A.rows - len(basis))
     return GfMatrix(f, rows, cols=A.cols), tuple(row.index(1) for row in basis)
 
 

@@ -62,13 +62,12 @@ def cmd_tw(args) -> CommandResult:
 def cmd_reduce(args) -> CommandResult:
     G = graph.graph_from_text(_read(args.graph))
     field = algebra.parse_field_token(args.field)
-    mat, A = reduction.reduce_instance(G, field)
-    payload = {"matrix": algebra.matrix_to_text(mat), "sidecar": reduction.apex_graph_to_doc(A)}
-    summary = f"reduced {G.vertex_count}-vertex graph to {mat.cols} matroid elements"
+    M, A = reduction.reduce_instance(G, field)
+    payload = {"matrix": algebra.matrix_to_text(M.matrix), "sidecar": reduction.apex_graph_to_doc(A)}
+    summary = f"reduced {G.vertex_count}-vertex graph to {M.size} matroid elements"
     status = OK
     if args.verify:
         pw_g, _ = graph.graph_pathwidth(G)
-        M = reduction.apex_matroid(A, field)
         pw_m = pathwidth_exact(M).width
         payload["verify"] = {"pw_graph": pw_g, "pw_matroid": pw_m, "identity": pw_m == pw_g + 1}
         summary += f"; pw {pw_m} = {pw_g} + 1" if pw_m == pw_g + 1 else "; IDENTITY VIOLATED"

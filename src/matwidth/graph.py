@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldSpec, GfMatrix
-from .matroid import VectorMatroid, label_key
+from .matroid import MAX_GROUND, GroundSetTooLarge, VectorMatroid, label_key
 from .pathwidth import prefix_dp
 
 MAX_PATHWIDTH_VERTICES = 16
@@ -202,7 +202,11 @@ def graph_pathwidth(G: MultiGraph) -> tuple:
 
 def cycle_matroid(G: MultiGraph, F: FieldSpec) -> VectorMatroid:
     """Vertex-arc incidence representation of M(G): orientation is fixed as
-    +1 at the smaller endpoint, -1 at the larger; loops become zero columns."""
+    +1 at the smaller endpoint, -1 at the larger; loops become zero columns.
+    A graph with more than MAX_GROUND edges is refused before the matrix is
+    built."""
+    if G.edge_count > MAX_GROUND:
+        raise GroundSetTooLarge(f"{G.edge_count} > {MAX_GROUND} ground elements")
     m = G.vertex_count
     cols = []
     for u, v, _ in G.edges:

@@ -48,18 +48,23 @@ being rank 2 over GF(256), while at ratio 5.1 it still won for rank 4
 over GF(17).  A rule on (q, n, m) is left open.
 
 All elimination (spans, ranks, the contraction in `apply_minor`) is the
-kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step,
-their batched forms `reduce_batch` / `unit_rows` for the sweep, and
-`canonical_insert` where a canonical basis is needed.  `apply_minor`
-builds a new matrix for callers that need a matroid, and when the parent
-holds a rank table it reads the minor's table off it by
+kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step
+and their batched forms `reduce_batch` / `unit_rows` for the sweep.
+`apply_minor` builds a new matrix for callers that need a matroid, and
+when the parent holds a rank table it reads the minor's table off it by
 r_{M/X\\Y}(S) = r_M(S + X) - r_M(X) instead of building one.  The minor
 search builds no minor at all: it gathers each candidate's table from the
 host's by the same identity and matches it with `table_isomorphism`.
+
+`table_isomorphism` backtracks over a partial map held as two index arrays
+(its docstring); `bits(n)`, the cached bit matrix of every S < 2^n, gives
+its layers' popcounts, its check of the bijection found, and the minor
+search's expansion of pattern masks to host masks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -484,11 +489,22 @@ def is_isomorphic(M: VectorMatroid, N: VectorMatroid):
     return table_isomorphism(M.rank_table(), M.labels, N.rank_table(), N.labels)
 
 
+@functools.cache
+def bits(n):
+    """The read-only (n, 2^n) matrix of bit t of S in row t, column S, for
+    every S < 2^n: (1 << image) @ bits(n) sends each mask S to the mask of
+    its bits' images, and bits(n).sum(axis=0) is the popcount of every S.
+    Callers keep n within ISO_MAX_GROUND."""
+    out = np.arange(1 << n) >> np.arange(n)[:, None] & 1
+    out.flags.writeable = False
+    return out
+
+
 def iso_invariants(table, n):
     """What table_isomorphism compares before it searches, for one table on n
     elements: the masks of the 1-, 2- and 3-element subsets, the sorted
     ranks on each of those layers, and the element invariants."""
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    pc = bits(n).sum(axis=0)
     layers = tuple(np.flatnonzero(pc == card) for card in range(1, min(3, n) + 1))
     return layers, tuple(np.sort(table[idx]) for idx in layers), _element_invariants(table, n, layers)
 
@@ -498,7 +514,12 @@ def table_isomorphism(TM, labels_m, TN, labels_n, invariants_m=None):
     equal full rank; labels_*[i] names bit i.  A caller matching one table
     TM against many passes invariants_m = iso_invariants(TM, n) once.
     Deterministic: elements are matched in decreasing small-circuit-degree
-    order and images tried in label order."""
+    order and images tried in label order.
+
+    The partial map is two index arrays: src holds every subset of the
+    elements matched so far and dst their images, so element e may go to c
+    when TN[dst | 1 << c] equals TM[src | 1 << e] everywhere, one gather
+    per candidate; on a match both arrays double."""
     n = len(labels_m)
     layers, profile_m, inv_m = invariants_m or iso_invariants(TM, n)
     for idx, prof in zip(layers, profile_m):
@@ -511,62 +532,42 @@ def table_isomorphism(TM, labels_m, TN, labels_n, invariants_m=None):
 
     order = sorted(range(n), key=lambda i: (_circuit_degree_key(inv_m[i]), label_key(labels_m[i])))
     candidates = sorted(range(n), key=lambda j: label_key(labels_n[j]))
-    image = [-1] * n
+    image = np.full(n, -1, dtype=np.intp)
     used = [False] * n
 
-    def masks_through(depth):
-        # all subsets of order[:depth+1] that contain order[depth]
-        fixed = order[depth]
-        rest = order[:depth]
-        for sub in range(1 << depth):
-            m_mask = 1 << fixed
-            for t, pos in enumerate(rest):
-                if (sub >> t) & 1:
-                    m_mask |= 1 << pos
-            yield m_mask
-
-    def translate(mask):
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << image[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def backtrack(depth):
+    def backtrack(depth, src, dst):
         if depth == n:
             return True
         pos = order[depth]
+        grown = src | 1 << pos
+        want = TM[grown]
         for cand in candidates:
             if used[cand] or inv_n[cand] != inv_m[pos]:
                 continue
-            image[pos] = cand
-            used[cand] = True
-            ok = all(TM[m_mask] == TN[translate(m_mask)] for m_mask in masks_through(depth))
-            if ok and backtrack(depth + 1):
-                return True
-            used[cand] = False
-            image[pos] = -1
+            if (TN[dst | 1 << cand] == want).all():
+                image[pos] = cand
+                used[cand] = True
+                if backtrack(depth + 1, np.concatenate([src, grown]), np.concatenate([dst, dst | 1 << cand])):
+                    return True
+                used[cand] = False
         return False
 
-    if not backtrack(0):
+    empty = np.zeros(1, dtype=np.intp)
+    if not backtrack(0, empty, empty):
         return None
     # safety: verify the bijection on every subset
-    for mask in range(1 << n):
-        if TM[mask] != TN[translate(mask)]:
-            raise AssertionError("isomorphism search returned an invalid bijection")
+    if (TM != TN[(1 << image) @ bits(n)]).any():
+        raise AssertionError("isomorphism search returned an invalid bijection")
     return {labels_m[i]: labels_n[image[i]] for i in range(n)}
 
 
 def _element_invariants(table, n, layers):
     """(rank, dependent pairs through it, dependent triples through it) of
     each element, from the layer masks of iso_invariants."""
-    bits = 1 << np.arange(n)
-    counts = [table[bits], np.zeros(n, dtype=int), np.zeros(n, dtype=int)]
+    counts = [table[1 << np.arange(n)], np.zeros(n, dtype=int), np.zeros(n, dtype=int)]
     for card in range(2, len(layers) + 1):
         idx = layers[card - 1]
-        dep = idx[table[idx] < card]
-        counts[card - 1] = np.count_nonzero(dep[:, None] & bits, axis=0)
+        counts[card - 1] = bits(n)[:, idx[table[idx] < card]].sum(axis=1)
     return list(zip(*(c.tolist() for c in counts)))
 
 

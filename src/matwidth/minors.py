@@ -297,9 +297,9 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
     T_pat = pattern.rank_table()
     inv_pat = iso_invariants(T_pat, n_pat)
     layers, profiles, _ = inv_pat
-    # bits_t[t, S] = bit t of the pattern mask S; (1 << kept) @ bits_t expands
-    # S to the host mask with bit kept[t] set for each bit t of S
-    bits_t = (np.arange(1 << n_pat) >> np.arange(n_pat)[:, None]) & 1
+    # (1 << kept) @ bits_t expands each pattern mask S to the host mask with
+    # bit kept[t] set for each bit t of S
+    bits_t = matroidmod.bits(n_pat)
     elements = np.arange(n_host)
     full = host.full_mask
     removals = n_host - n_pat

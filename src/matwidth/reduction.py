@@ -18,7 +18,7 @@ from .graph import (
     cycle_matroid,
     validate_path_decomposition,
 )
-from .matroid import VectorMatroid, label_key
+from .matroid import MAX_GROUND, GroundSetTooLarge, VectorMatroid, label_key
 
 CLASS_LX = "Lx"
 CLASS_LG = "LG"
@@ -119,10 +119,15 @@ def apex_matroid(A: ApexGraph, F: FieldSpec) -> VectorMatroid:
 
 
 def reduce_instance(G: MultiGraph, F: FieldSpec) -> tuple:
-    """G -> (incidence representation of the apex-graph cycle matroid, apex
-    graph).  The pathwidth of the represented matroid is pw(G) + 1."""
+    """G -> (cycle matroid of the apex graph, apex graph); the matroid's
+    matrix is its incidence representation.  Its pathwidth is pw(G) + 1.
+    The apex graph has two edges per adjacent pair and per vertex, and one
+    with more than MAX_GROUND is refused before it is built."""
+    size = 2 * (len(G.adjacent_pairs()) + G.vertex_count)
+    if size > MAX_GROUND:
+        raise GroundSetTooLarge(f"{size} > {MAX_GROUND} ground elements")
     A = add_apex(simplify_double(G))
-    return apex_matroid(A, F).matrix, A
+    return apex_matroid(A, F), A
 
 
 def base_without_apex(A: ApexGraph) -> MultiGraph:

@@ -184,8 +184,7 @@ def check_reduction(seed=23, extra_samples=20, field_q=2) -> dict:
     cases = reduction_test_graphs(seed, extra_samples)
     for name, G in cases:
         pw_g, _ = graph_pathwidth(G)
-        _, A = redmod.reduce_instance(G, field)
-        M = redmod.apex_matroid(A, field)
+        M, A = redmod.reduce_instance(G, field)
         pw_m = pathwidth_exact(M).width
         if pw_m != pw_g + 1:
             violations.append({"graph": name, "pw_graph": pw_g, "pw_matroid": pw_m,
@@ -200,8 +199,7 @@ def check_decomp_to_ordering(seed=23, extra_samples=20, field_q=2) -> dict:
     cases = reduction_test_graphs(seed, extra_samples)
     for name, G in cases:
         pw_g, D = graph_pathwidth(G)
-        _, A = redmod.reduce_instance(G, field)
-        M = redmod.apex_matroid(A, field)
+        M, A = redmod.reduce_instance(G, field)
         pi = redmod.decomp_to_ordering(A, D)
         w = width_of_ordering(M, pi).width
         if w > pw_g + 1:

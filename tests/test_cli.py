@@ -1,6 +1,7 @@
 """The command-line front end: JSON payloads, exit codes, emitted files."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -307,3 +308,19 @@ def test_negative_counts_are_errors(capsys, tmp_path, command, text, parse, erro
     assert code == 1 and "negative" in payload["error"]
     with pytest.raises(error, match="negative"):
         parse(text)
+
+
+def test_reduce_refuses_a_large_graph_before_building_it(capsys, tmp_path):
+    # 1,000,000 vertices and no edges: the apex graph would have 2,000,000
+    # edges, refused from the counts alone
+    p = tmp_path / "big.txt"
+    p.write_text("1000000\n")
+    tracemalloc.start()
+    try:
+        code, payload, _ = run(capsys, "reduce", str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert payload == {"error": "2000000 > 64 ground elements"}
+    assert peak < 10 * 2**20

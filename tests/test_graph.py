@@ -1,6 +1,7 @@
 """Path decompositions, exact graph pathwidth, cycle matroids, umbrellas."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from matwidth.graph import (
     umbrella_ordering,
     validate_path_decomposition,
 )
+from matwidth.matroid import GroundSetTooLarge
 from matwidth.pathwidth import pathwidth_exact, width_of_ordering
 from util import GF2, GF3, bag_search_pathwidth, graphic_rank
 
@@ -137,6 +139,20 @@ def test_k4_cycle_matroid():
     M = cycle_matroid(complete_graph(4), GF2)
     assert M.size == 6 and M.rank_full == 3
     assert pathwidth_exact(M).width == 2
+
+
+def test_cycle_matroid_refuses_too_many_edges_before_building():
+    # 65 parallel edges on 1,000,000 vertices: the incidence matrix would
+    # hold 65 million entries; the edge count alone refuses it
+    G = mk_graph(1_000_000, [(0, 1)] * 65)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroundSetTooLarge, match="^65 > 64 ground elements$"):
+            cycle_matroid(G, GF2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_single_loop_is_rank_zero_single_element():

@@ -1,0 +1,158 @@
+"""The isomorphism search against the per-subset walker it replaced.
+
+`table_isomorphism` keeps its partial map as two index arrays (every subset
+of the matched elements, and their images) and tests a candidate image with
+one gather.  `_walker_isomorphism` below is the earlier search, kept as the
+reference: the same element order, candidate order and invariants, but the
+partial map is checked by walking every subset through the newest element
+bit by bit.  Both must return the same first bijection, or both None.
+"""
+
+import numpy as np
+import pytest
+
+from matwidth.algebra import GfMatrix
+from matwidth.graph import complete_bipartite, cycle_matroid
+from matwidth.matroid import (
+    VectorMatroid,
+    _circuit_degree_key,
+    _element_invariants,
+    bits,
+    iso_invariants,
+    label_key,
+    table_isomorphism,
+)
+from matwidth.minors import catalog_entry
+from util import GF2, GF3
+
+
+def _walker_isomorphism(TM, labels_m, TN, labels_n):
+    n = len(labels_m)
+    layers, profile_m, inv_m = iso_invariants(TM, n)
+    for idx, prof in zip(layers, profile_m):
+        if (np.sort(TN[idx]) != prof).any():
+            return None
+    inv_n = _element_invariants(TN, n, layers)
+    if sorted(inv_m) != sorted(inv_n):
+        return None
+
+    order = sorted(range(n), key=lambda i: (_circuit_degree_key(inv_m[i]), label_key(labels_m[i])))
+    candidates = sorted(range(n), key=lambda j: label_key(labels_n[j]))
+    image = [-1] * n
+    used = [False] * n
+
+    def masks_through(depth):
+        fixed = order[depth]
+        rest = order[:depth]
+        for sub in range(1 << depth):
+            m_mask = 1 << fixed
+            for t, pos in enumerate(rest):
+                if (sub >> t) & 1:
+                    m_mask |= 1 << pos
+            yield m_mask
+
+    def translate(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << image[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def backtrack(depth):
+        if depth == n:
+            return True
+        pos = order[depth]
+        for cand in candidates:
+            if used[cand] or inv_n[cand] != inv_m[pos]:
+                continue
+            image[pos] = cand
+            used[cand] = True
+            ok = all(TM[m_mask] == TN[translate(m_mask)] for m_mask in masks_through(depth))
+            if ok and backtrack(depth + 1):
+                return True
+            used[cand] = False
+            image[pos] = -1
+        return False
+
+    if not backtrack(0):
+        return None
+    return {labels_m[i]: labels_n[image[i]] for i in range(n)}
+
+
+def _random_matroid(rng, field, n):
+    """A random matrix on n columns with repeated and zero columns mixed in,
+    so that elements share invariants and the search has to branch."""
+    rows = n // 2 + int(rng.integers(0, 2))
+    cols = [tuple(int(x) for x in rng.integers(0, field.q, rows)) for _ in range(n)]
+    for j in range(1, n):
+        if rng.random() < 0.15:
+            cols[j] = cols[int(rng.integers(0, j))]
+    entries = [[col[i] for col in cols] for i in range(rows)]
+    return VectorMatroid(GfMatrix(field, entries, cols=n), tuple(range(n)))
+
+
+def _relabelled(M, perm):
+    """M with column perm[j] moved to position j and labelled "ej", so that
+    the candidates' label order is not M's."""
+    cols = M.columns
+    entries = [[cols[p][i] for p in perm] for i in range(M.matrix.rows)]
+    return VectorMatroid(GfMatrix(M.field, entries, cols=M.size), tuple(f"e{j}" for j in range(M.size)))
+
+
+def _both(M, N):
+    args = (M.rank_table(), M.labels, N.rank_table(), N.labels)
+    return table_isomorphism(*args), _walker_isomorphism(*args)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+@pytest.mark.parametrize("n", range(10))
+def test_same_bijection_as_the_walker_on_relabelled_tables(field, n):
+    rng = np.random.default_rng(1000 * field.q + n)
+    for _ in range(3):
+        M = _random_matroid(rng, field, n)
+        N = _relabelled(M, [int(p) for p in rng.permutation(n)])
+        new, old = _both(M, N)
+        assert new is not None and new == old
+        # the bijection carries every rank over
+        assert all(M.rank_subset(S) == N.rank_subset([new[e] for e in S])
+                   for S in ([M.labels[i] for i in range(n) if mask >> i & 1] for mask in range(1 << n)))
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+def test_same_answer_as_the_walker_on_random_pairs(field):
+    rng = np.random.default_rng(77 + field.q)
+    for n in range(2, 9):
+        for _ in range(4):
+            M, N = _random_matroid(rng, field, n), _random_matroid(rng, field, n)
+            if M.rank_full == N.rank_full:
+                new, old = _both(M, N)
+                assert new == old
+
+
+@pytest.mark.parametrize("name", ["MK5", "MK5*", "MK33", "K25"])
+def test_same_bijection_as_the_walker_on_relabelled_symmetric_matroids(name):
+    if name == "K25":
+        M = cycle_matroid(complete_bipartite(2, 5), GF3)
+    else:
+        M = catalog_entry(name, GF3).matroid
+    rng = np.random.default_rng(5)
+    N = _relabelled(M, [int(p) for p in rng.permutation(M.size)])
+    new, old = _both(M, N)
+    assert new is not None and new == old
+
+
+def test_same_profile_non_isomorphic_pair():
+    # MK5* and the cycle matroid of K2,5 agree on the 1-, 2- and 3-element
+    # layers and the element invariants, so the search itself says no
+    K25 = cycle_matroid(complete_bipartite(2, 5), GF3)
+    MK5_dual = catalog_entry("MK5*", GF3).matroid
+    assert _both(MK5_dual, K25) == (None, None)
+
+
+def test_bits_matrix():
+    for n in range(5):
+        B = bits(n)
+        assert B.shape == (n, 1 << n) and not B.flags.writeable
+        assert [int(m) for m in (1 << np.arange(n)) @ B] == list(range(1 << n))
+        assert B.sum(axis=0).tolist() == [bin(m).count("1") for m in range(1 << n)]

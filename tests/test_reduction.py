@@ -126,16 +126,14 @@ def test_apex_spans_everything():
 
 
 def test_reduce_single_vertex():
-    mat, A = reduce_instance(mk_graph(1, []), GF2)
-    M = apex_matroid(A, GF2)
+    M, A = reduce_instance(mk_graph(1, []), GF2)
     assert pathwidth_exact(M).width == 1
     assert graph_pathwidth(mk_graph(1, []))[0] == 0
 
 
 def test_reduce_single_edge():
     G = mk_graph(2, [(0, 1)])
-    mat, A = reduce_instance(G, GF2)
-    M = apex_matroid(A, GF2)
+    M, A = reduce_instance(G, GF2)
     assert pathwidth_exact(M).width == 2 == graph_pathwidth(G)[0] + 1
 
 
@@ -148,9 +146,8 @@ def test_reduce_k3_over_two_fields():
 
 
 def test_reduced_matrix_columns_follow_edge_order():
-    mat, A = reduce_instance(complete_graph(3), GF3)
-    assert mat.cols == A.base.edge_count
-    M = apex_matroid(A, GF3)
+    M, A = reduce_instance(complete_graph(3), GF3)
+    assert M.matrix.cols == A.base.edge_count
     assert M.labels == A.base.edge_labels()
 
 
