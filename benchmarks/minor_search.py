@@ -19,9 +19,14 @@ fresh interpreter per tree and case, the trees taking turns).  Cases:
   1, so each of the four searches runs to the end), a fresh matroid for
   each run;
 - "iso": `table_isomorphism` on the GF(3) cycle matroid of K25 and the
-  MK5* catalog entry (10 elements each, equal on the layer profiles and
-  the element invariants, not isomorphic), in both argument orders; both
-  tables are built before the clock starts.
+  MK5* catalog entry (10 elements each, equal on the 1-, 2- and 3-element
+  rank profiles and the small-circuit counts of each element, not
+  isomorphic), in both argument orders; both tables are built before the
+  clock starts;
+- "iso-hosts": `minor_contains` on seeded 12-element hosts (a uniformly
+  random 6 x 12 matrix over the field from `numpy.random.default_rng(seed)`,
+  seeds 1, 2, 3) against every w <= 2 catalog entry over GF(3) and over
+  GF(4); host and pattern tables are built before the clock starts.
 
 The answer (certificate or report) must agree between trees.
 """
@@ -32,12 +37,17 @@ import sys
 import time
 
 import harness
+import numpy as np
 
 HOSTS = ("W5", "K33", "fan5", "K25", "C9")
 PATTERNS = ("U24", "MK4", "MK23", "MK23*")
 EXCLUDED = ("F7", "F7*", "MK5", "MK5*", "MK33", "MK33*", "U36")
 UMBRELLA = (2, 2, 2, 1)
 ISO_PAIRS = ("K25:MK5*", "MK5*:K25")
+HOST_SEEDS = (1, 2, 3)
+HOST_SHAPE = (6, 12)
+# the w <= 2 catalog over GF(3) lacks F7, F7* (characteristic 2) and U36 (q >= 4)
+CATALOG_W2 = {3: ("MK5", "MK5*", "MK33", "MK33*"), 4: EXCLUDED}
 
 
 def _host_graph(name: str):
@@ -52,6 +62,14 @@ def _host_graph(name: str):
     }[name]()
 
 
+def _seeded_host(field, seed: int):
+    from matwidth.algebra import GfMatrix
+    from matwidth.matroid import VectorMatroid
+
+    entries = np.random.default_rng(seed).integers(0, field.q, HOST_SHAPE).tolist()
+    return VectorMatroid(GfMatrix(field, entries, cols=HOST_SHAPE[1]))
+
+
 def runner(group: str, arg: str):
     """One case of the named group (module docstring)."""
     from matwidth.algebra import field_from_order
@@ -59,10 +77,15 @@ def runner(group: str, arg: str):
     from matwidth.matroid import VectorMatroid, table_isomorphism
     from matwidth.minors import catalog_entry, catalog_minor_witness, minor_contains, verify_excluded_minor
 
-    if group == "minor":
-        field = field_from_order(3)
-        host_name, pattern_name = arg.split(":")
-        host = cycle_matroid(_host_graph(host_name), field)
+    if group in ("minor", "iso-hosts"):
+        if group == "minor":
+            field = field_from_order(3)
+            host_name, pattern_name = arg.split(":")
+            host = cycle_matroid(_host_graph(host_name), field)
+        else:
+            q, seed, pattern_name = arg.split(":")
+            field = field_from_order(int(q))
+            host = _seeded_host(field, int(seed))
         pattern = catalog_entry(pattern_name, field).matroid
         host.rank_table()
         pattern.rank_table()
@@ -112,7 +135,9 @@ CASES = [({"group": group, "input": arg}, (group, arg)) for group, arg in
          [("minor", f"{h}:{p}") for h in HOSTS for p in PATTERNS]
          + [("excluded", name) for name in EXCLUDED]
          + [("host12", "umbrella-" + "-".join(map(str, UMBRELLA)))]
-         + [("iso", pair) for pair in ISO_PAIRS]]
+         + [("iso", pair) for pair in ISO_PAIRS]
+         + [("iso-hosts", f"{q}:{seed}:{name}") for q, names in CATALOG_W2.items()
+            for seed in HOST_SEEDS for name in names]]
 
 if __name__ == "__main__":
     sys.exit(harness.main(__file__, __doc__, runner, CASES))

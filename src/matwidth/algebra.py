@@ -477,22 +477,18 @@ def same_row_space(A: GfMatrix, B: GfMatrix) -> bool:
 
 def orthogonal_complement(A: GfMatrix) -> GfMatrix:
     """A full-row-rank generator of the orthogonal complement of A's row
-    space, via [I | B] -> [-B^T | I] with the column permutation undone."""
+    space, from R = rref(A): one row per free column f, 1 at f and
+    -R[i][f] at the pivot column of row i."""
     field = A.field
-    n = A.cols
-    basis = row_basis(A)
-    r = basis.rows
-    if r == 0:
-        return identity_matrix(field, n)
-    if r == n:
-        return GfMatrix(field, [], cols=n)
-    std, perm = standard_form(basis)
+    R, pivots = rref(A)
     entries = []
-    for i in range(n - r):
-        row = [field.neg(std.entries[j][r + i]) for j in range(r)]
-        row += [1 if j == i else 0 for j in range(n - r)]
+    for f in sorted(set(range(A.cols)) - set(pivots)):
+        row = [0] * A.cols
+        row[f] = 1
+        for i, p in enumerate(pivots):
+            row[p] = field.neg(R.entries[i][f])
         entries.append(row)
-    return apply_column_permutation(GfMatrix(field, entries, cols=n), inverse_permutation(perm))
+    return GfMatrix(field, entries, cols=A.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -119,18 +119,22 @@ def cmd_check_tw1(args) -> CommandResult:
     return CommandResult(OK, payload, summary)
 
 
+# the suite parameter behind each `verify` flag
+_VERIFY_FLAGS = {"samples": "--samples", "seed": "--seed", "q": "--q", "n_max": "--n", "graph": "--graph",
+                 "m_max": "--m", "max_parallel": "--max-parallel"}
+
+
 def cmd_verify(args) -> CommandResult:
     if args.theorem not in verify.THEOREMS:
         known = ", ".join(sorted(verify.THEOREMS))
         raise KeyError(f"unknown theorem {args.theorem!r} (known: {known})")
     fn, desc = verify.THEOREMS[args.theorem]
-    kwargs = {}
-    for key in ("samples", "seed", "q", "n_max", "graph", "m_max", "max_parallel"):
-        val = getattr(args, key, None)
-        if val is not None:
-            kwargs[key] = val
-    accepted = set(inspect.signature(fn).parameters)
-    kwargs = {k: v for k, v in kwargs.items() if k in accepted}
+    kwargs = {key: getattr(args, key) for key in _VERIFY_FLAGS if getattr(args, key) is not None}
+    refused = [_VERIFY_FLAGS[key] for key in kwargs if key not in inspect.signature(fn).parameters]
+    if refused:
+        raise ValueError(f"verify {args.theorem} does not take {', '.join(refused)}")
+    if kwargs.get("samples", 0) < 0:
+        raise ValueError(f"--samples must be at least 0, not {kwargs['samples']}")
     report = fn(**kwargs)
     status = OK if report["ok"] else VIOLATION
     summary = f"{args.theorem}: {desc} -- {'ok' if report['ok'] else 'VIOLATED'} " \
@@ -197,8 +201,10 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        msg = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+        print(json.dumps({"error": msg}, sort_keys=True))
+        print(f"error: {msg}", file=sys.stderr)
         return 1
     print(json.dumps(result.payload, indent=2, sort_keys=True))
     print(result.summary, file=sys.stderr)

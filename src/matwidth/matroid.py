@@ -56,10 +56,15 @@ r_{M/X\\Y}(S) = r_M(S + X) - r_M(X) instead of building one.  The minor
 search builds no minor at all: it gathers each candidate's table from the
 host's by the same identity and matches it with `table_isomorphism`.
 
-`table_isomorphism` backtracks over a partial map held as two index arrays
-(its docstring); `bits(n)`, the cached bit matrix of every S < 2^n, gives
-its layers' popcounts, its check of the bijection found, and the minor
-search's expansion of pattern masks to host masks.
+`table_isomorphism` compares one invariant before it searches: the byte
+key |S| * (n + 1) + r(S) of every subset S (`rank_keys`).  Tables must
+agree on their sorted keys, and e goes only to an element with e's count
+of each key over the subsets containing it (after McKay and Piperno,
+"Practical graph isomorphism, II", 2014).  That refuses tables whose
+counts differ without a search, but bounds nothing when they agree.  The
+partial map is two index arrays (its docstring); `bits(n)`, the cached
+bit matrix of every S < 2^n, gives the popcounts, the final check of the
+bijection and the minor search's expansion of pattern masks to host masks.
 """
 
 from __future__ import annotations
@@ -500,37 +505,53 @@ def bits(n):
     return out
 
 
+@functools.cache
+def rank_keys(n):
+    """|S| * (n + 1) for every S < 2^n, uint8 and read-only; adding a rank
+    table gives the keys, at most 168 within ISO_MAX_GROUND."""
+    out = (bits(n).sum(axis=0) * (n + 1)).astype(np.uint8)
+    out.flags.writeable = False
+    return out
+
+
 def iso_invariants(table, n):
     """What table_isomorphism compares before it searches, for one table on n
-    elements: the masks of the 1-, 2- and 3-element subsets, the sorted
-    ranks on each of those layers, and the element invariants."""
-    pc = bits(n).sum(axis=0)
-    layers = tuple(np.flatnonzero(pc == card) for card in range(1, min(3, n) + 1))
-    return layers, tuple(np.sort(table[idx]) for idx in layers), _element_invariants(table, n, layers)
+    elements: its sorted keys, and counts[e, key] over the subsets containing e."""
+    keys = table + rank_keys(n)
+    counts = np.array([np.bincount(keys.reshape(-1, 2, 1 << e)[:, 1].ravel(), minlength=(n + 1) ** 2)
+                       for e in range(n)]).reshape(n, (n + 1) ** 2)
+    keys.sort(kind="stable")
+    return keys, counts
+
+
+def _match_order(counts, labels):
+    """Most dependent pairs through e first, then dependent triples, then
+    loops, then labels: the dependent k-sets have keys k * (n + 1) + r < k."""
+    n1 = len(labels) + 1
+    loops, pairs, triples = (counts[:, k * n1 : k * n1 + k].sum(axis=1).tolist() for k in (1, 2, 3))
+    return sorted(range(len(labels)), key=lambda i: (-pairs[i], -triples[i], -loops[i], label_key(labels[i])))
 
 
 def table_isomorphism(TM, labels_m, TN, labels_n, invariants_m=None):
     """is_isomorphic on rank tables over the same number of elements and of
     equal full rank; labels_*[i] names bit i.  A caller matching one table
     TM against many passes invariants_m = iso_invariants(TM, n) once.
-    Deterministic: elements are matched in decreasing small-circuit-degree
-    order and images tried in label order.
+    Elements are matched in `_match_order`, each only to an element with
+    the same key counts, and images tried in label order.
 
     The partial map is two index arrays: src holds every subset of the
     elements matched so far and dst their images, so element e may go to c
     when TN[dst | 1 << c] equals TM[src | 1 << e] everywhere, one gather
     per candidate; on a match both arrays double."""
     n = len(labels_m)
-    layers, profile_m, inv_m = invariants_m or iso_invariants(TM, n)
-    for idx, prof in zip(layers, profile_m):
-        if (np.sort(TN[idx]) != prof).any():
-            return None
-
-    inv_n = _element_invariants(TN, n, layers)
-    if sorted(inv_m) != sorted(inv_n):
+    keys_m, counts_m = invariants_m or iso_invariants(TM, n)
+    keys_n, counts_n = iso_invariants(TN, n)
+    inv_m = [row.tobytes() for row in counts_m]
+    inv_n = [row.tobytes() for row in counts_n]
+    if (keys_m != keys_n).any() or sorted(inv_m) != sorted(inv_n):
         return None
 
-    order = sorted(range(n), key=lambda i: (_circuit_degree_key(inv_m[i]), label_key(labels_m[i])))
+    order = _match_order(counts_m, labels_m)
     candidates = sorted(range(n), key=lambda j: label_key(labels_n[j]))
     image = np.full(n, -1, dtype=np.intp)
     used = [False] * n
@@ -559,21 +580,6 @@ def table_isomorphism(TM, labels_m, TN, labels_n, invariants_m=None):
     if (TM != TN[(1 << image) @ bits(n)]).any():
         raise AssertionError("isomorphism search returned an invalid bijection")
     return {labels_m[i]: labels_n[image[i]] for i in range(n)}
-
-
-def _element_invariants(table, n, layers):
-    """(rank, dependent pairs through it, dependent triples through it) of
-    each element, from the layer masks of iso_invariants."""
-    counts = [table[1 << np.arange(n)], np.zeros(n, dtype=int), np.zeros(n, dtype=int)]
-    for card in range(2, len(layers) + 1):
-        idx = layers[card - 1]
-        counts[card - 1] = bits(n)[:, idx[table[idx] < card]].sum(axis=1)
-    return list(zip(*(c.tolist() for c in counts)))
-
-
-def _circuit_degree_key(inv):
-    single, dep_pairs, dep_triples = inv
-    return (-dep_pairs, -dep_triples, single)
 
 
 # ---------------------------------------------------------------------------

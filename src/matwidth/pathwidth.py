@@ -139,13 +139,9 @@ def parallel_classes(M: VectorMatroid) -> list:
     """Column positions grouped into parallel classes, in order of first
     column: columns agree once scaled to lead with 1, and the zero columns
     (loops) form one class."""
-    field = M.field
     classes = {}
-    for j in range(M.size):
-        col = M.columns[j]
-        lead = next((x for x in col if x), 0)
-        key = tuple(field.mul(field.inv(lead), x) for x in col) if lead else None
-        classes.setdefault(key, []).append(j)
+    for j, col in enumerate(M.columns):
+        classes.setdefault(algebra._unit_row(M.field, col), []).append(j)
     return list(classes.values())
 
 
@@ -162,9 +158,9 @@ def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
     """lambda of every class-count state (uint8, module docstring): the
     simplification's rank table gathered along each class axis, for r(S) at
     count c by [c > 0] and for r(E - S) by [c = |class|] on the reversed
-    table.  The simplification is M itself when M is simple."""
-    loop = next((j for j, c in enumerate(classes) if not any(M.columns[c[0]])), None)
-    reps = {c[0] for j, c in enumerate(classes) if j != loop}
+    table.  The simplification keeps one element of each class, a loop
+    too, and is M itself when M has no parallel elements."""
+    reps = {c[0] for c in classes}
     if len(reps) == M.size:
         simple = M
     else:
@@ -173,19 +169,11 @@ def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
     shape = (2,) * len(reps)  # class j on axis J - 1 - j, class 0 fastest
     head, tail = table.reshape(shape), table[::-1].reshape(shape)
     last = len(classes) - 1
-    if loop is not None:
-        head, tail = np.expand_dims(head, last - loop), np.expand_dims(tail, last - loop)
     for j, c in enumerate(classes):
         s = len(c)
-        if j == loop:
-            head_idx = tail_idx = np.zeros(s + 1, dtype=np.intp)
-        elif s > 1:
-            head_idx = np.minimum(np.arange(s + 1), 1)
-            tail_idx = (np.arange(s + 1) == s).astype(np.intp)
-        else:
-            continue
-        head = np.take(head, head_idx, axis=last - j)
-        tail = np.take(tail, tail_idx, axis=last - j)
+        if s > 1:
+            head = np.take(head, np.minimum(np.arange(s + 1), 1), axis=last - j)
+            tail = np.take(tail, (np.arange(s + 1) == s).astype(np.intp), axis=last - j)
     lam = head + tail
     lam -= np.uint8(M.rank_full)
     return lam.reshape(-1)
@@ -368,7 +356,7 @@ def pathwidth_exact(M: VectorMatroid) -> WidthCertificate:
         return WidthCertificate(0, (), ())
     classes = parallel_classes(M)
     _, states = _strides(classes)
-    need = TABLE_BYTES * 2 ** len(classes) + STATE_BYTES * states  # loops counted as a class
+    need = TABLE_BYTES * 2 ** len(classes) + STATE_BYTES * states
     if need > EXACT_BYTES:
         raise GroundSetTooLargeForExact(
             f"the exact DP would need about {need / 1e6:.0f} MB (a 2^{len(classes)}-entry rank "

@@ -18,6 +18,8 @@ SMALLEST = {
     "minor_search.py": ("minor", "W5:U24"),
     "cli_ops.py": ("reduce-verify", "1", "0"),
 }
+# groups of a script beyond the one its smallest input runs
+GROUPS = {"minor_search.py iso-hosts": ("iso-hosts", "4:1:F7")}
 
 
 def test_every_script_has_a_smoke_input():
@@ -27,8 +29,17 @@ def test_every_script_has_a_smoke_input():
 
 @pytest.mark.parametrize("script", sorted(SMALLEST))
 def test_child_mode_runs_on_the_smallest_input(script):
+    _run_child(script, SMALLEST[script])
+
+
+@pytest.mark.parametrize("case", sorted(GROUPS))
+def test_child_mode_runs_on_a_further_group(case):
+    _run_child(case.split()[0], GROUPS[case])
+
+
+def _run_child(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, str(ROOT / "benchmarks" / script), "--one", *SMALLEST[script]]
+    argv = [sys.executable, str(ROOT / "benchmarks" / script), "--one", *args]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])

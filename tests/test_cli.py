@@ -239,6 +239,27 @@ def test_unknown_theorem_is_error(capsys):
     assert "unknown theorem" in payload["error"]
 
 
+@pytest.mark.parametrize("argv", [("duality", "--q", "5"), ("reduction", "--samples", "2")],
+                         ids=["duality-q", "reduction-samples"])
+def test_verify_refuses_a_flag_the_suite_does_not_take(capsys, argv):
+    code, payload, _ = run(capsys, "verify", *argv)
+    assert code == 1
+    assert payload["error"] == f"verify {argv[0]} does not take {argv[1]}"
+
+
+def test_verify_refuses_negative_samples(capsys):
+    code, payload, _ = run(capsys, "verify", "duality", "--samples", "-4")
+    assert code == 1
+    assert "--samples" in payload["error"]
+
+
+def test_key_error_message_is_printed_unquoted(capsys):
+    code, payload, err = run(capsys, "verify", "reorder", "--graph", "k9")
+    assert code == 1
+    assert payload["error"].startswith("unknown graph 'k9'")
+    assert err.startswith("error: unknown graph")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "bad.mat"
     p.write_text("3 2 2\n1 0\n9 0\n")

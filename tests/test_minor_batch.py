@@ -6,8 +6,8 @@ batched per contract set: one (X, Y) pair at a time, each tested for rank
 and then handed to `table_isomorphism`.  The batched `minor_contains` must
 return the same certificate (the same X, Y and bijection) or None, and
 must hand `table_isomorphism` exactly the candidates, in the same order,
-that the pairwise loop passes both its rank test and the layer profiles
-that `table_isomorphism` tests first.
+that the pairwise loop passes both its rank test and the sorted keys
+|S| * (n + 1) + r(S) that `table_isomorphism` tests first.
 """
 
 import itertools
@@ -65,14 +65,14 @@ def _pairwise_minor_contains(host, pattern, iso=table_isomorphism):
     return None
 
 
-def _recording(calls, layers_only):
+def _recording(calls, keys_only):
     """table_isomorphism, recording (labels, table) of each call; with
-    layers_only, only of the calls whose candidate has the pattern's sorted
-    ranks on every small layer."""
+    keys_only, only of the calls whose candidate has the pattern's sorted
+    keys."""
 
     def iso(TM, labels_m, TN, labels_n, invariants_m):
-        layers, profiles, _ = invariants_m
-        if not layers_only or all((np.sort(TN[idx]) == prof).all() for idx, prof in zip(layers, profiles)):
+        keys, _ = iso_invariants(TN, len(labels_n))
+        if not keys_only or (keys == invariants_m[0]).all():
             calls.append((tuple(labels_n), TN.tobytes()))
         return table_isomorphism(TM, labels_m, TN, labels_n, invariants_m)
 
@@ -83,9 +83,9 @@ def _assert_same_search(host, pattern, monkeypatch):
     """Same certificate as the pairwise loop, and the same candidates handed
     to table_isomorphism; returns whether a minor was found."""
     ref_calls, calls = [], []
-    expect = _pairwise_minor_contains(host, pattern, _recording(ref_calls, layers_only=True))
+    expect = _pairwise_minor_contains(host, pattern, _recording(ref_calls, keys_only=True))
     with monkeypatch.context() as m:
-        m.setattr(minors, "table_isomorphism", _recording(calls, layers_only=False))
+        m.setattr(minors, "table_isomorphism", _recording(calls, keys_only=False))
         got = minor_contains(host, pattern)
     if expect is None:
         assert got is None
@@ -163,8 +163,8 @@ def test_batched_search_matches_pairwise_loop_on_graph_hosts(monkeypatch):
 
 def test_rank_filter_runs_before_the_layer_test(monkeypatch):
     # deleting any of e1, e2, e3 leaves a free 4-set of rank 4: the same
-    # ranks as the 4-circuit on 1-, 2- and 3-sets, so only the rank test
-    # keeps it from table_isomorphism
+    # ranks as the 4-circuit on 1-, 2- and 3-sets; only the full set's rank
+    # tells them apart, and the rank test drops it before any key is read
     host = matroid(GF2, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 0)])
     circuit = matroid(GF2, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)], ["a", "b", "c", "d"])
     assert _assert_same_search(host, circuit, monkeypatch)
