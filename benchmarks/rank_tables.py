@@ -8,7 +8,7 @@ harness (`harness.py`: best of 3 runs in a fresh interpreter per tree and
 input, the trees taking turns).  Inputs:
 
 - "grid": a seeded [n, n/2] code over GF(2), GF(3), GF(4), GF(5), GF(16),
-  GF(17) and GF(2^8), at n = 16 and 20;
+  GF(17) and GF(2^8), at n = 16, 20 and 24;
 - "crossover": seeded codes with q^m near COUNT_RATIO * 2^n = 4 * 2^n,
   m = min(k, n - k), on both sides of the rule that picks the backend.
 
@@ -25,7 +25,7 @@ import time
 import harness
 
 WORD_CAP = 1 << 26
-GRID = [(q, n, n // 2) for n in (16, 20) for q in (2, 3, 4, 5, 16, 17, 256)]
+GRID = [(q, n, n // 2) for n in (16, 20, 24) for q in (2, 3, 4, 5, 16, 17, 256)]
 CROSSOVER = [
     (256, 14, 2), (256, 15, 2), (64, 10, 2), (64, 11, 2), (16, 14, 4), (16, 13, 4),
     (8, 16, 6), (8, 14, 6), (5, 15, 7), (5, 13, 7), (17, 14, 4), (17, 16, 4),

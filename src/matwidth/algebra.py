@@ -331,7 +331,8 @@ def zero_matrix(field: FieldSpec, rows: int, cols: int) -> GfMatrix:
 # An echelon basis is a sequence of rows, each led by a 1 (its pivot, found
 # as row.index(1)) and zero at the pivots of the rows before it.  Every rank,
 # span and reduced form in the package is built from the two steps below, or
-# from their batched forms `reduce_batch` and `unit_rows` on numpy arrays.
+# from their batched forms on numpy arrays: `reduce_batch`, the forward step
+# against one row per batch entry, and `unit_rows`.
 # Subtracting c times a row y from x reads m = mul_table[-c] once and then
 # add_table[x][m[y]] per entry.
 
@@ -368,33 +369,28 @@ def echelon_push(field: FieldSpec, basis: list, v) -> None:
         basis.append(row)
 
 
-def reduce_batch(field: FieldSpec, bases, pivots, ranks, v) -> np.ndarray:
-    """`reduce_vector` for a batch of N echelon bases at once.
+def reduce_batch(field: FieldSpec, rows, leads, vs) -> np.ndarray:
+    """`reduce_vector` against a one-row basis, for a batch of N of them.
 
-    bases (N, m, m) and v (m,) or (N, m) are uint8 arrays of element codes;
-    pivots (N, m) holds each row's pivot and ranks (N,) each basis's rank,
-    with zero rows past the rank (whose pivots are ignored).  Returns the
-    (N, m) residues, one pass in row order as in `reduce_vector`: row j
-    subtracts c times itself, c the residue's entry at row j's pivot, as
-    add[x, mul[neg[c], y]] through flat table gathers at uint16 indices
-    (q^2 <= 65536)."""
-    q = field.q
+    rows (N, m) are uint8 rows that lead with 1 at leads (N,), as
+    `unit_rows` returns them; vs (N, L, m) holds L vectors per row.
+    Returns the (N, L, m) residues: each vector less c times its row, c its
+    entry at the row's lead, as add[x, mul[neg[c], y]] through flat table
+    gathers at uint16 indices (q^2 <= 65536)."""
+    q = np.uint16(field.q)
     add, mul = field.add_array.ravel(), field.mul_array.ravel()
-    v = np.broadcast_to(v, bases.shape[:2])
-    for j in range(int(ranks.max())):
-        c = np.take_along_axis(v, pivots[:, j, None], axis=1)
-        step = mul[field.neg_array[c] * np.uint16(q) + bases[:, j]]
-        idx = v * np.uint16(q)
-        idx += step
-        v = add[idx]
-    return np.array(v)
+    c = vs[np.arange(len(vs)), :, leads, None]
+    step = mul[field.neg_array[c] * q + rows[:, None, :]]
+    idx = vs * q
+    idx += step
+    return add[idx]
 
 
 def unit_rows(field: FieldSpec, rows) -> tuple:
     """`_unit_row` for a batch of nonzero uint8 rows: the rows scaled so
     that each leads with 1, and the index of that 1 in each."""
     lead = (rows != 0).argmax(axis=1)
-    c = np.take_along_axis(rows, lead[:, None], axis=1)
+    c = rows[np.arange(len(rows)), lead, None]
     return field.mul_array.ravel()[field.inv_array[c] * np.uint16(field.q) + rows], lead
 
 

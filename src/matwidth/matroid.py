@@ -28,17 +28,20 @@ with m integer comparisons J += (f >= q^j), no float; and r_N(S) =
 m - J[E - S], the table reversed.  The working set is about TABLE_BYTES
 = 6 bytes per table entry.
 
-The sweep doubles batches of echelon bases one element at a time: the
-bases of the subsets of elements 0..i-1 reduce column i all at once
-(`algebra.reduce_batch`), the rank grows by one wherever the residue is
-nonzero, and the subsets containing i get copies of the bases with the
-residue, scaled to lead with 1, appended.  Bases are m x m uint8 arrays,
-m <= n/2.  Only the low a = min(n, 16) elements are doubled, so at most
-CHUNK_WORDS = 2^16 bases are in flight; each subset H of the other n - a
-elements seeds one doubling with its basis and fills the block
+The sweep doubles batches of residues one element at a time.  Each
+subset S of elements 0..i-1 carries the residues of columns i..a-1 modulo
+span(S), zero exactly on the columns S spans: the rank grows by one
+wherever column i's residue is nonzero, the subsets without i keep the
+later residues, and those that grew pivot column i's residue, scaled to
+lead with 1 (`algebra.unit_rows`), out of them with one batched one-row
+step (`algebra.reduce_batch`), a constant number of numpy calls per
+column.  Only the low a = min(n, 16) elements are doubled, so at most
+CHUNK_WORDS = 2^16 subsets are in flight, with at most 2^(a-1) residues
+of m bytes, m <= n/2; each subset H of the other n - a elements seeds one
+doubling with the low columns reduced modulo span(H) and fills the block
 [H * 2^a, (H + 1) * 2^a).  The working set is the uint8 table plus one
-block of bases: tracemalloc peaks 1.3 MB over the 1 MB table for a
-rank-3 code on 20 elements, 4.7 MB over it for a [20, 8] code over GF(17).
+block of residues: tracemalloc peaks 1.0 MB over the 1 MB table for a
+[20, 8] code over GF(2), 1.3 MB over it for a [20, 8] code over GF(17).
 
 The sweep runs when q^m > COUNT_RATIO * 2^n (COUNT_RATIO = 4): a rule on
 q, n and k only (`table_backend`).  Against the vectorised sweep no
@@ -58,8 +61,9 @@ host's by the same identity and matches it with `table_isomorphism`.
 
 `table_isomorphism` compares one invariant before it searches: the byte
 key |S| * (n + 1) + r(S) of every subset S (`rank_keys`).  Tables must
-agree on their sorted keys, and e goes only to an element with e's count
-of each key over the subsets containing it (after McKay and Piperno,
+agree on each element's count of each key over the subsets containing
+it, up to the order of the elements, which fixes their sorted keys too,
+and e goes only to an element with e's counts (after McKay and Piperno,
 "Practical graph isomorphism, II", 2014).  That refuses tables whose
 counts differ without a search, but bounds nothing when they agree.  The
 partial map is two index arrays (its docstring); `bits(n)`, the cached
@@ -88,7 +92,7 @@ TABLE_BYTES, STATE_BYTES = 6, 4
 EXACT_BYTES = (TABLE_BYTES + STATE_BYTES) << 24
 # rank tables are counted from codeword supports while q^min(k, n - k) is at
 # most COUNT_RATIO * 2^n, and swept otherwise; words are counted in chunks
-# of at most CHUNK_WORDS, and the sweep holds at most CHUNK_WORDS bases
+# of at most CHUNK_WORDS, and the sweep doubles at most CHUNK_WORDS subsets
 COUNT_RATIO = 4
 CHUNK_WORDS = 1 << 16
 _PACK_BYTES = np.uint64(0x0102040810204080)
@@ -353,51 +357,47 @@ def _support_counts(field, gens: np.ndarray) -> np.ndarray:
 
 
 def _sweep_ranks(field, gens: np.ndarray) -> np.ndarray:
-    """The ranks of every subset of the columns of gens (m x n): batches of
-    echelon bases doubled over the low a = min(n, log2 CHUNK_WORDS)
-    columns; each subset H of the other columns seeds one doubling with its
-    basis and fills the block [H * 2^a, (H + 1) * 2^a)."""
+    """The ranks of every subset of the columns of gens (m x n), doubled
+    over the low a = min(n, log2 CHUNK_WORDS) columns; each subset H of the
+    other columns seeds one doubling with the low columns reduced modulo
+    span(H) and fills the block [H * 2^a, (H + 1) * 2^a)."""
     m, n = gens.shape
     table = np.zeros(1 << n, dtype=np.uint8)
     if m == 0:
         return table
     cols = np.ascontiguousarray(gens.T)
     a = min(n, CHUNK_WORDS.bit_length() - 1)
+    low = cols[:a].tolist()
     for high in range(1 << (n - a)):
         basis = []
         for i in _bit_positions(high):
             algebra.echelon_push(field, basis, cols[a + i].tolist())
-        _double(field, cols[:a], basis, table[high << a : (high + 1) << a])
+        seed = np.array([algebra.reduce_vector(field, basis, col) for col in low], dtype=np.uint8)
+        _double(field, seed, len(basis), table[high << a : (high + 1) << a])
     return table
 
 
-def _double(field, cols: np.ndarray, basis: list, out: np.ndarray) -> None:
-    """out[S] = dim span(basis + the columns of S) for every subset S of
-    cols.  The bases of the subsets of cols[:i] reduce cols[i] all at once
-    (`algebra.reduce_batch`); the rank grows where the residue is nonzero,
-    and the upper half gets copies of the bases with that residue, scaled
-    to lead with 1, appended.  The last column needs ranks only, so at most
-    2^(len(cols) - 1) bases of m x m bytes are built."""
-    m = cols.shape[1]
-    bases = np.zeros((1, m, m), dtype=np.uint8)
-    pivots = np.zeros((1, m), dtype=np.uint8)
-    for j, row in enumerate(basis):
-        bases[0, j] = row
-        pivots[0, j] = row.index(1)
-    out[0] = len(basis)
-    for i, col in enumerate(cols):
-        ranks = out[: 1 << i]
-        residue = algebra.reduce_batch(field, bases, pivots, ranks, col)
-        grew = residue.any(axis=1)
-        out[1 << i : 2 << i] = ranks + grew
-        if i + 1 == len(cols):
+def _double(field, res: np.ndarray, rank: int, out: np.ndarray) -> None:
+    """out[S] = rank + dim span(the rows of res (a x m) in S), for every
+    subset S of its rows.  Each subset S of rows 0..i-1 carries the residues
+    of rows i..a-1 modulo span(S), zero exactly on the rows that S spans:
+    the rank grows where row i's residue is nonzero, the subsets without i
+    keep the rest, and those that grew pivot row i's residue, scaled to
+    lead with 1, out of the rest (`algebra.reduce_batch`).  At most
+    2^(i+1) (a - i - 1) <= 2^(a-1) residues of m bytes are held."""
+    a = len(res)
+    res = res[None]
+    out[0] = rank
+    for i in range(a):
+        head = res[:, 0]
+        grew = head.any(axis=1)
+        out[1 << i : 2 << i] = out[: 1 << i] + grew
+        if i + 1 == a:
             break
         s = np.flatnonzero(grew)
-        rows, lead = algebra.unit_rows(field, residue[s])
-        bases = np.concatenate([bases, bases])
-        pivots = np.concatenate([pivots, pivots])
-        bases[(1 << i) + s, ranks[s]] = rows
-        pivots[(1 << i) + s, ranks[s]] = lead
+        rows, lead = algebra.unit_rows(field, head[s])
+        res = np.concatenate([res[:, 1:], res[:, 1:]])
+        res[(1 << i) + s] = algebra.reduce_batch(field, rows, lead, res[s])
 
 
 def _bit_positions(mask: int):
@@ -515,8 +515,9 @@ def rank_keys(n):
 
 
 def iso_invariants(table, n):
-    """What table_isomorphism compares before it searches, for one table on n
-    elements: its sorted keys, and counts[e, key] over the subsets containing e."""
+    """The invariants of one table on n elements: its sorted keys, which the
+    minor search compares, and counts[e, key] over the subsets containing e,
+    which table_isomorphism compares before it searches."""
     keys = table + rank_keys(n)
     counts = np.array([np.bincount(keys.reshape(-1, 2, 1 << e)[:, 1].ravel(), minlength=(n + 1) ** 2)
                        for e in range(n)]).reshape(n, (n + 1) ** 2)
@@ -544,11 +545,13 @@ def table_isomorphism(TM, labels_m, TN, labels_n, invariants_m=None):
     when TN[dst | 1 << c] equals TM[src | 1 << e] everywhere, one gather
     per candidate; on a match both arrays double."""
     n = len(labels_m)
-    keys_m, counts_m = invariants_m or iso_invariants(TM, n)
-    keys_n, counts_n = iso_invariants(TN, n)
+    counts_m = (invariants_m or iso_invariants(TM, n))[1]
+    counts_n = iso_invariants(TN, n)[1]
     inv_m = [row.tobytes() for row in counts_m]
     inv_n = [row.tobytes() for row in counts_n]
-    if (keys_m != keys_n).any() or sorted(inv_m) != sorted(inv_n):
+    # equal sorted count rows give equal sorted keys: the keys of size s > 0
+    # number their column sum over the counts divided by s
+    if sorted(inv_m) != sorted(inv_n):
         return None
 
     order = _match_order(counts_m, labels_m)

@@ -228,3 +228,20 @@ def test_bits_matrix():
         assert B.shape == (n, 1 << n) and not B.flags.writeable
         assert [int(m) for m in (1 << np.arange(n)) @ B] == list(range(1 << n))
         assert B.sum(axis=0).tolist() == [bin(m).count("1") for m in range(1 << n)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+def test_sorted_keys_follow_from_the_count_rows(field):
+    # table_isomorphism compares only the sorted count rows, because they
+    # fix the sorted keys: the subsets of size s > 0 with key s * (n + 1) + r
+    # number that key's column sum over the counts divided by s, and the
+    # empty set has key 0
+    rng = np.random.default_rng(600 + field.q)
+    for n in range(11):
+        for _ in range(3):
+            M = _with_loops_and_parallels(rng, field, n)
+            keys, counts = iso_invariants(M.rank_table(), n)
+            sizes = np.arange((n + 1) ** 2) // (n + 1)
+            hist = counts.sum(axis=0, dtype=np.intp) // np.maximum(sizes, 1)
+            hist[0] = 1
+            assert np.array_equal(np.repeat(np.arange((n + 1) ** 2), hist), keys)

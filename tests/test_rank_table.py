@@ -3,8 +3,9 @@
 Both are compared with per-subset elimination (`rank_of_columns`) and, for
 n <= 8, with the reference ranks of `util`, on seeded matrices over every
 field family; past 16 elements, where the sweep runs one doubling per
-subset of the high elements, the counted table is the reference.  The
-selection rule is checked on both sides of its threshold.
+subset of the high elements, the counted table is the reference, and
+elimination on seeded masks of every block.  The selection rule is
+checked on both sides of its threshold.
 """
 
 import tracemalloc
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 
 from matwidth import field_new
-from matwidth.algebra import (GfMatrix, echelon_push, identity_matrix, rank_of_columns,
-                              reduce_batch, reduce_vector, unit_rows)
-from matwidth.matroid import CHUNK_WORDS, VectorMatroid, table_backend
+from matwidth.algebra import (GfMatrix, identity_matrix, rank_of_columns, reduce_batch,
+                              reduce_vector, unit_rows)
+from matwidth.matroid import CHUNK_WORDS, VectorMatroid, _sweep_ranks, table_backend
 from matwidth.pathwidth import pathwidth_exact
-from util import (GF2, GF3, GF5, GF243, GF256, REF_FIELDS, matroid, ref_random_rows,
+from util import (GF2, GF3, GF4, GF5, GF243, GF256, REF_FIELDS, matroid, ref_random_rows,
                   ref_rank_table)
 
 
@@ -158,37 +159,28 @@ def test_pathwidth_refuses_a_forged_rank_table():
 
 @pytest.mark.parametrize("field", [f for f, _ in REF_FIELDS], ids=str)
 def test_reduce_batch_matches_reduce_vector(field):
-    # N random echelon bases of every rank 0..m, stored as the sweep stores
-    # them (zero rows past the rank), against the scalar kernel row by row
-    m, N = 5, 40
+    # N nonzero rows scaled by unit_rows, leading at every position, each
+    # pivoted out of L vectors at once, as the sweep pivots a residue out
+    # of the later residues, against the scalar kernel with the row as basis
+    m, N, L = 5, 40, 3
     rng = np.random.default_rng(900 + field.q)
-    bases = np.zeros((N, m, m), dtype=np.uint8)
-    pivots = np.zeros((N, m), dtype=np.uint8)
-    ranks = np.zeros(N, dtype=np.uint8)
-    scalar = []
+    nonzero = np.array(ref_random_rows(field, N, m, rng), dtype=np.uint8)
     for t in range(N):
-        basis = []
-        for row in ref_random_rows(field, t % (m + 1), m, rng):
-            echelon_push(field, basis, row)
-        for j, row in enumerate(basis):
-            bases[t, j], pivots[t, j] = row, row.index(1)
-        ranks[t] = len(basis)
-        scalar.append(basis)
-    vs = np.array(ref_random_rows(field, N, m, rng), dtype=np.uint8)
-    vs[::7] = bases[::7, 0]  # some vectors in the span
-    residues = reduce_batch(field, bases, pivots, ranks, vs)
-    expect = [reduce_vector(field, basis, v.tolist()) for basis, v in zip(scalar, vs)]
-    assert residues.tolist() == [list(r) for r in expect]
-    assert not residues[::7].any()
-    nonzero = residues[residues.any(axis=1)]
+        nonzero[t, : t % m] = 0
+        nonzero[t, t % m] = max(nonzero[t, t % m], 1)
     rows, lead = unit_rows(field, nonzero)
+    assert set(lead.tolist()) == set(range(m))
     for row, p, r in zip(rows.tolist(), lead.tolist(), nonzero.tolist()):
         assert row.index(1) == p and all(row[i] == 0 for i in range(p))
         assert reduce_vector(field, [tuple(row)], r) == [0] * m
-    # one vector against every basis, as the sweep calls it
-    assert reduce_batch(field, bases, pivots, ranks, vs[1]).tolist() == [
-        list(reduce_vector(field, basis, vs[1].tolist())) for basis in scalar
-    ]
+    vs = np.array(ref_random_rows(field, N * L, m, rng), dtype=np.uint8).reshape(N, L, m)
+    vs[::7, 0] = nonzero[::7]  # some vectors in the span
+    residues = reduce_batch(field, rows, lead, vs)
+    expect = [[reduce_vector(field, [tuple(row)], v) for v in block.tolist()]
+              for row, block in zip(rows.tolist(), vs)]
+    assert residues.tolist() == expect
+    assert not residues[::7, 0].any()
+    assert not residues[np.arange(N), :, lead].any()
 
 
 @pytest.mark.parametrize(
@@ -226,3 +218,44 @@ def test_sweep_allocates_the_table_and_one_block_of_bases():
         tracemalloc.stop()
     assert peak < (1 << n) + 4 * CHUNK_WORDS * m * m
     assert table.dtype == np.uint8 and table[-1] == m
+
+
+def test_sweep_memory_is_linear_in_m():
+    # a [20, 8] code over GF(2): one block holds at most 2^15 residues of m
+    # bytes and the one-row step's temporaries, never m x m bytes a subset
+    rng = np.random.default_rng(22)
+    n, m = 20, 8
+    M = matroid(GF2, rank_k_rows(GF2, n, m, rng))
+    tracemalloc.start()
+    try:
+        table = M._sweep_rank_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n) + 4 * CHUNK_WORDS * m
+    assert table.dtype == np.uint8 and table[-1] == m
+
+
+@pytest.mark.parametrize("field, n, m", [(GF5, 18, 2), (GF256, 17, 1), (GF3, 17, 4), (GF4, 18, 6)],
+                         ids=str)
+def test_sweep_matches_elimination_past_one_block(field, n, m):
+    # the sweep on an m x n generator with a zero column (3), a low/low
+    # parallel pair (1 and 5) and, where m <= n - 16, high columns 16..
+    # that span F^m, so that their block is constant; elimination is the
+    # reference on seeded masks from every block
+    rng = np.random.default_rng(60 * n + m + field.q)
+    gens = np.array(rank_k_rows(field, n, m, rng), dtype=np.uint8)
+    gens[:, 3] = 0
+    gens[:, 5] = field.mul_array[1 + field.q // 2, gens[:, 1]]
+    if m <= n - 16:
+        gens[:, 16 : 16 + m] = np.eye(m, dtype=np.uint8)
+    assert rank_of_columns(field, gens.tolist()) == m
+    table = _sweep_ranks(field, gens)
+    cols = gens.T.tolist()
+    masks = rng.integers(0, 1 << n, 3000).tolist()
+    masks += [H << 16 | low for H in range(1 << (n - 16)) for low in (0, 1 << 3, 1 << 1 | 1 << 5, 0xFFFF)]
+    for S in masks:
+        assert table[S] == rank_of_columns(field, [cols[i] for i in range(n) if S >> i & 1]), S
+    if m <= n - 16:
+        H = (1 << m) - 1
+        assert (table[H << 16 : (H + 1) << 16] == m).all()
