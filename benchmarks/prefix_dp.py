@@ -58,15 +58,15 @@ def _code_matroid(name: str):
     import random
 
     from matwidth.algebra import GfMatrix, field_from_order
-    from matwidth.codes import LinearCode, code_matroid, mds_code
+    from matwidth.codes import LinearCode, mds_code
 
     if name == "mds17-16-8":
-        return code_matroid(mds_code(16, 8, field_from_order(17)))
+        return mds_code(16, 8, field_from_order(17))
     if name == "golay":
         g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
         rows = [[0] * s + g + [0] * (11 - s) for s in range(12)]
         rows = [row + [sum(row) % 2] for row in rows]
-        return code_matroid(LinearCode(GfMatrix(field_from_order(2), rows, cols=24)))
+        return LinearCode(GfMatrix(field_from_order(2), rows, cols=24))
     # the tw-codes workload's draw: redrawn until full rank, no zero or
     # repeated column
     rng, field = random.Random("tw-codes-q2"), field_from_order(2)
@@ -75,7 +75,7 @@ def _code_matroid(name: str):
         cols = {tuple(col) for col in zip(*rows)}
         if len(cols) < 17 or (0,) * 8 in cols:
             continue
-        M = code_matroid(LinearCode(GfMatrix(field, rows, cols=17)))
+        M = LinearCode(GfMatrix(field, rows, cols=17))
         if M.rank_full == 8:
             return M
 

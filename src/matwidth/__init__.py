@@ -9,17 +9,10 @@ from .algebra import (
     matrix_to_text,
     rank,
     rref,
-    standard_form,
 )
 from .codes import (
     LinearCode,
-    are_equivalent,
     catalog_code,
-    code_matroid,
-    dual_code,
-    puncture,
-    shorten,
-    state_profile,
     trellis_width,
     tw_le_1_check,
 )

@@ -26,10 +26,6 @@ class FieldTooLarge(ValueError):
     """The requested field order exceeds the supported cap of 256."""
 
 
-class RankDeficient(ValueError):
-    """standard_form requires a matrix of full row rank."""
-
-
 class MatrixFormatError(ValueError):
     """A matrix text document failed to parse; carries the offending line."""
 
@@ -321,10 +317,6 @@ def identity_matrix(field: FieldSpec, n: int) -> GfMatrix:
     return GfMatrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
 
-def zero_matrix(field: FieldSpec, rows: int, cols: int) -> GfMatrix:
-    return GfMatrix(field, [[0] * cols for _ in range(rows)], cols=cols)
-
-
 # ---------------------------------------------------------------------------
 # the elimination kernel
 #
@@ -434,41 +426,6 @@ def row_basis(A: GfMatrix) -> GfMatrix:
     """The nonzero rows of rref(A): a full-row-rank matrix with A's row space."""
     R, pivots = rref(A)
     return GfMatrix(A.field, R.entries[: len(pivots)], cols=A.cols)
-
-
-def standard_form(A: GfMatrix) -> tuple:
-    """Column-permute a full-row-rank matrix into [I | B].
-
-    Returns (B, perm) where column j of B is column perm[j] of the
-    row-reduced input.  Applying the inverse permutation to B's columns
-    recovers a matrix with the same row space as A.
-    """
-    R, pivots = rref(A)
-    if len(pivots) < A.rows:
-        raise RankDeficient(f"rank {len(pivots)} < {A.rows} rows")
-    others = [j for j in range(A.cols) if j not in set(pivots)]
-    perm = tuple(pivots) + tuple(others)
-    entries = [[R.entries[i][j] for j in perm] for i in range(A.rows)]
-    return GfMatrix(A.field, entries, cols=A.cols), perm
-
-
-def apply_column_permutation(A: GfMatrix, perm) -> GfMatrix:
-    """Matrix whose column j is A's column perm[j]."""
-    entries = [[row[j] for j in perm] for row in A.entries]
-    return GfMatrix(A.field, entries, cols=A.cols)
-
-
-def inverse_permutation(perm) -> tuple:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
-
-
-def same_row_space(A: GfMatrix, B: GfMatrix) -> bool:
-    if A.field != B.field or A.cols != B.cols:
-        return False
-    return row_basis(A) == row_basis(B)
 
 
 def orthogonal_complement(A: GfMatrix) -> GfMatrix:

@@ -1,8 +1,8 @@
 """Linear codes as the vector matroids of their labelled generator
 matrices, so puncturing, shortening and duals are the matroid layer's
-deletion, contraction and dual; equivalence with explicit (permutation,
-diagonal) witnesses, trellis-width as matroid pathwidth, and the catalog
-codes used by the trellis-width-one characterization.
+`delete`, `contract` and `dual`; trellis-width as matroid pathwidth, the
+trellis-width <= 1 test, and the catalog codes used by the
+trellis-width-one characterization.
 """
 
 from __future__ import annotations
@@ -12,14 +12,10 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import algebra, minors
 from .algebra import FieldSpec, GfMatrix
-from .matroid import VectorMatroid, _span_words, contract, delete, dual, matroid_to_text, parse_matroid_text
-from .pathwidth import WidthCertificate, pathwidth_exact, width_of_ordering
-
-EQUIV_MAX_LENGTH = 7
+from .matroid import VectorMatroid, matroid_to_text, parse_matroid_text
+from .pathwidth import WidthCertificate, pathwidth_exact
 
 
 class UnknownLabel(ValueError):
@@ -27,7 +23,8 @@ class UnknownLabel(ValueError):
 
 
 class LengthTooLarge(ValueError):
-    """Brute-force equivalence / minor checks are capped at small lengths."""
+    """The trellis-width <= 1 check refuses codes longer than
+    minors.PW1_MAX_GROUND."""
 
 
 class UnknownName(ValueError):
@@ -66,136 +63,11 @@ class LinearCode(VectorMatroid):
         return f"LinearCode([{self.length},{self.dim}] over {self.field!r})"
 
 
-def code_matroid(C: LinearCode) -> VectorMatroid:
-    """The vector matroid of the generator's columns, ground set = labels:
-    the code itself.  Independent of which generator represents the code."""
-    return C
-
-
-def dual_code(C: LinearCode) -> LinearCode:
-    """Generator of the orthogonal complement; label sequence unchanged."""
-    return dual(C)
-
-
-def puncture(C: LinearCode, J) -> LinearCode:
-    """Drop the coordinates with labels in J; remaining labels keep order."""
-    return delete(C, J)
-
-
-def shorten(C: LinearCode, J) -> LinearCode:
-    """The codewords vanishing on J, restricted to the other coordinates."""
-    return contract(C, J)
-
-
 def trellis_width(C: LinearCode) -> WidthCertificate:
     """tw(C) = pathwidth of the associated matroid, with an optimal
     coordinate ordering as the certificate; refused as `pathwidth_exact`
     refuses it (GroundSetTooLargeForExact)."""
     return pathwidth_exact(C)
-
-
-def state_profile(C: LinearCode, ordering) -> tuple:
-    """The per-prefix connectivity values under a coordinate ordering."""
-    return width_of_ordering(C, ordering).prefix_lambdas
-
-
-# ---------------------------------------------------------------------------
-# code equivalence
-
-
-def transform_code(C: LinearCode, perm, diag) -> LinearCode:
-    """Apply the witness (perm, diag): coordinate i is scaled by diag[i] and
-    sent to position perm[i].  Labels reset to the default."""
-    n = C.length
-    field = C.field
-    entries = [[0] * n for _ in C.generator.entries]
-    for i in range(n):
-        d = diag[i]
-        for r, row in enumerate(C.generator.entries):
-            entries[r][perm[i]] = field.mul(d, row[i])
-    return LinearCode(GfMatrix(field, entries, cols=n))
-
-
-def _weight_enumerator(C: LinearCode):
-    """Number of codewords of each weight 0..n, or None past 4096 words."""
-    basis = algebra.row_basis(C.generator)
-    if C.field.q**basis.rows > 4096:
-        return None
-    gens = np.array(basis.entries, dtype=np.uint8).reshape(basis.rows, C.length)
-    weights = np.count_nonzero(_span_words(C.field, gens), axis=1)
-    return tuple(np.bincount(weights, minlength=C.length + 1).tolist())
-
-
-def are_equivalent(C: LinearCode, C2: LinearCode):
-    """Search for (perm, diag) with transform_code(C, perm, diag) equal to C2
-    as a row space; None if the codes are inequivalent.  Brute force over
-    coordinate permutations (length <= 7) pruned by weight enumerators and
-    pivot patterns; the diagonal is recovered by ratio propagation on the
-    reduced echelon forms and the witness is re-verified before returning."""
-    n = C.length
-    if n > EQUIV_MAX_LENGTH or C2.length > EQUIV_MAX_LENGTH:
-        raise LengthTooLarge(f"equivalence search capped at {EQUIV_MAX_LENGTH}")
-    if C.field != C2.field or n != C2.length or C.dim != C2.dim:
-        return None
-    if _weight_enumerator(C) != _weight_enumerator(C2):
-        return None
-    field = C.field
-    B2, piv2 = algebra.rref(C2.generator)
-    B2 = GfMatrix(field, B2.entries[: len(piv2)], cols=n)
-    gen = algebra.row_basis(C.generator)
-    k = gen.rows
-    for perm in itertools.permutations(range(n)):
-        entries = [[0] * n for _ in range(k)]
-        for i in range(n):
-            for r in range(k):
-                entries[r][perm[i]] = gen.entries[r][i]
-        B, piv = algebra.rref(GfMatrix(field, entries, cols=n))
-        if piv != piv2:
-            continue
-        B = GfMatrix(field, B.entries[:k], cols=n)
-        diag_by_pos = _propagate_diagonal(field, B, B2, piv)
-        if diag_by_pos is None:
-            continue
-        diag = tuple(diag_by_pos[perm[i]] for i in range(n))
-        if algebra.same_row_space(transform_code(C, perm, diag).generator, C2.generator):
-            return tuple(perm), diag
-    return None
-
-
-def _propagate_diagonal(field, B, B2, pivots):
-    """Solve for column scalings d with rref(B scaled) == B2: each nonzero
-    entry forces d[j] = (B2[i][j] / B[i][j]) * d[pivot_i].  Constraints are
-    propagated in both directions across their ratio graph; one free scale
-    per connected component is pinned to 1."""
-    n = B.cols
-    k = B.rows
-    for i in range(k):
-        for j in range(n):
-            if (B.entries[i][j] == 0) != (B2.entries[i][j] == 0):
-                return None
-    adj = [[] for _ in range(n)]  # (other, ratio): d[other] = ratio * d[this]
-    for i, p in enumerate(pivots):
-        for j in range(n):
-            if j != p and B.entries[i][j]:
-                ratio = field.mul(B2.entries[i][j], field.inv(B.entries[i][j]))
-                adj[p].append((j, ratio))
-                adj[j].append((p, field.inv(ratio)))
-    d = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = 1
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, ratio in adj[u]:
-                val = field.mul(ratio, d[u])
-                if d[v] is None:
-                    d[v] = val
-                    stack.append(v)
-                elif d[v] != val:
-                    return None
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +119,6 @@ def catalog_code(name: str, field_or_q) -> LinearCode:
     if m:
         return mds_code(int(m.group(1)), int(m.group(2)), field)
     raise UnknownName(f"unknown catalog code {name!r}")
-
-
-def frobenius_variants(C: LinearCode) -> list:
-    """The codes obtained by applying each field automorphism x -> x**(p**t)
-    entrywise; a single code over prime fields."""
-    field = C.field
-    out = []
-    seen = set()
-    for t in range(field.k):
-        e = field.p**t
-        ent = tuple(tuple(field.pow(x, e) for x in row) for row in C.generator.entries)
-        if ent not in seen:
-            seen.add(ent)
-            out.append(LinearCode(GfMatrix(field, ent, cols=C.length), C.labels))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -102,26 +102,6 @@ def cycle_graph(n: int) -> MultiGraph:
     return mk_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def edgeless_graph(n: int) -> MultiGraph:
-    return mk_graph(n, [])
-
-
-def connected_components(G: MultiGraph) -> int:
-    parent = list(range(G.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in G.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in range(G.vertex_count)})
-
-
 # ---------------------------------------------------------------------------
 # path decompositions
 

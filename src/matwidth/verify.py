@@ -16,7 +16,14 @@ from . import graph as graphmod
 from . import minors as minorsmod
 from . import reduction as redmod
 from .algebra import GfMatrix, field_from_order, field_new, matrix_to_text
-from .graph import MultiGraph, graph_pathwidth, graph_to_text, mk_graph
+from .graph import (
+    MultiGraph,
+    NotADecomposition,
+    graph_pathwidth,
+    graph_to_text,
+    mk_graph,
+    validate_path_decomposition,
+)
 from .matroid import VectorMatroid, apply_minor, direct_sum, dual, MinorSpec
 from .pathwidth import caterpillar, branch_width_of_tree, pathwidth_exact, width_of_ordering
 
@@ -178,17 +185,32 @@ def reduction_test_graphs(seed=23, extra_samples=20) -> list:
 
 
 def check_reduction(seed=23, extra_samples=20, field_q=2) -> dict:
-    """pw(M(apex graph)) == pw(G) + 1 end to end."""
+    """pw(M(apex graph)) == pw(G) + 1 end to end, and the reverse direction
+    on its own: the optimal ordering, normalized and re-ordered, gives a
+    decomposition of the doubled base graph of width <= pw(M) - 1,
+    validated without graph_pathwidth."""
     field = field_new(field_q)
     violations = []
     cases = reduction_test_graphs(seed, extra_samples)
     for name, G in cases:
         pw_g, _ = graph_pathwidth(G)
         M, A = redmod.reduce_instance(G, field)
-        pw_m = pathwidth_exact(M).width
+        cert = pathwidth_exact(M)
+        pw_m = cert.width
         if pw_m != pw_g + 1:
             violations.append({"graph": name, "pw_graph": pw_g, "pw_matroid": pw_m,
                                "text": graph_to_text(G)})
+        star = redmod.reorder(A, M, redmod.normalize(A, cert.ordering))
+        try:
+            D = redmod.strip_apex(redmod.ordering_to_decomp(A, star), A.apex)
+            width = validate_path_decomposition(redmod.base_without_apex(A), D)
+        except (NotADecomposition, redmod.WrongShape) as exc:
+            violations.append({"graph": name, "kind": "reverse", "error": str(exc),
+                               "text": graph_to_text(G)})
+            continue
+        if width > pw_m - 1:
+            violations.append({"graph": name, "kind": "reverse", "pw_matroid": pw_m,
+                               "decomp_width": width, "text": graph_to_text(G)})
     return _report("reduction", violations, len(cases), seed=seed, field=field_q)
 
 

@@ -1,4 +1,4 @@
-"""Field arithmetic, rank / rref / standard form, and the matrix text format."""
+"""Field arithmetic, rank / rref / row bases, and the matrix text format."""
 
 import itertools
 
@@ -10,7 +10,6 @@ from matwidth.algebra import (
     GfMatrix,
     MatrixFormatError,
     NonPrimeCharacteristic,
-    RankDeficient,
     field_from_order,
     field_new,
     identity_matrix,
@@ -19,7 +18,6 @@ from matwidth.algebra import (
     rank,
     rank_of_columns,
     rref,
-    standard_form,
 )
 from util import (
     GF2,
@@ -130,7 +128,7 @@ def test_rank_dependent_rows():
 def test_rank_empty():
     assert rank(GfMatrix(GF2, [], cols=4)) == 0
     assert rank(GfMatrix(GF2, [[], []], cols=0)) == 0
-    assert rank(algebra.zero_matrix(GF3, 2, 3)) == 0
+    assert rank(matrix(GF3, [(0, 0, 0), (0, 0, 0)])) == 0
 
 
 def test_rank_transpose_random():
@@ -193,50 +191,6 @@ def test_elimination_matches_row_space_enumeration(field, m_max):
             assert R.entries[i][p] == 1 and not any(R.entries[i][:p])
             assert all(R.entries[j][p] == 0 for j in range(R.rows) if j != i)
         assert R.rows == m and not any(x for row in R.entries[r:] for x in row)
-
-
-# ---------------------------------------------------------------------------
-# standard form
-
-
-def test_standard_form_already_standard():
-    A = matrix(GF2, [(1, 0, 1), (0, 1, 1)])
-    B, perm = standard_form(A)
-    assert B == A and perm == (0, 1, 2)
-
-
-def test_standard_form_swapped_blocks():
-    # [B | I] where B cannot host pivots: the two blocks swap
-    A = matrix(GF2, [(0, 1, 0), (0, 0, 1)])
-    B, perm = standard_form(A)
-    assert perm == (1, 2, 0)
-    assert B.entries[0][:2] == (1, 0) and B.entries[1][:2] == (0, 1)
-    assert B.column(2) == (0, 0)
-
-
-def test_standard_form_g23_identity_permutation():
-    A = matrix(GF3, [(1, 0, 0, 0, 2, 2), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1)])
-    B, perm = standard_form(A)
-    assert perm == (0, 1, 2, 3, 4, 5)
-    assert B == A
-
-
-def test_standard_form_rank_deficient():
-    with pytest.raises(RankDeficient):
-        standard_form(matrix(GF2, [(1, 0), (1, 0)]))
-
-
-def test_standard_form_row_space_recovered():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        rows = int(rng.integers(1, 4))
-        A = matrix(GF3, [[int(x) for x in row] for row in rng.integers(0, 3, (rows, 6))])
-        B = algebra.row_basis(A)
-        if B.rows == 0:
-            continue
-        S, perm = standard_form(B)
-        undone = algebra.apply_column_permutation(S, algebra.inverse_permutation(perm))
-        assert algebra.same_row_space(undone, A)
 
 
 def test_orthogonal_complement_annihilates():

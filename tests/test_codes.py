@@ -1,8 +1,8 @@
-"""Codes: associated matroids, puncturing/shortening, duality, equivalence
-witnesses, trellis-width, state profiles, and the catalog generators."""
+"""Codes: associated matroids, puncturing/shortening (the matroid layer's
+delete and contract), duality, invariance under monomial transforms,
+trellis-width, state profiles, and the catalog generators."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -14,25 +14,35 @@ from matwidth.codes import (
     LinearCode,
     UnknownLabel,
     UnknownName,
-    _weight_enumerator,
-    are_equivalent,
     catalog_code,
     code_from_text,
-    code_matroid,
     code_to_text,
-    dual_code,
-    frobenius_variants,
-    puncture,
-    shorten,
-    state_profile,
-    transform_code,
     trellis_width,
     tw_le_1_check,
 )
 from matwidth.graph import complete_graph, cycle_matroid
-from matwidth.matroid import GroundSetTooLarge, VectorMatroid, is_isomorphic
+from matwidth.matroid import (
+    GroundSetTooLarge,
+    VectorMatroid,
+    _span_words,
+    contract,
+    delete,
+    dual,
+    is_isomorphic,
+)
 from matwidth.minors import pw_le_1_by_minors
-from util import GF2, GF3, GF5, REF_FIELDS, matrix, ref_random_rows, ref_row_space, uniform_check
+from matwidth.pathwidth import width_of_ordering
+from util import (
+    GF2,
+    GF3,
+    GF5,
+    REF_FIELDS,
+    matrix,
+    ref_random_rows,
+    ref_row_space,
+    same_row_space,
+    uniform_check,
+)
 
 REP31 = LinearCode(matrix(GF2, [(1, 1, 1)]))
 
@@ -51,7 +61,7 @@ def random_code(rng, field, n):
 
 
 def test_repetition_code_matroid_is_u1n():
-    M = code_matroid(LinearCode(matrix(GF3, [(1, 1, 1, 1, 1)])))
+    M = LinearCode(matrix(GF3, [(1, 1, 1, 1, 1)]))
     assert uniform_check(M, 1)
 
 
@@ -59,7 +69,7 @@ def test_ck4_matroid_is_mk4():
     # the printed generator represents the K4 cycle matroid over any field
     for q in (2, 3, 5):
         C = catalog_code("C_K4", q)
-        assert is_isomorphic(code_matroid(C), cycle_matroid(complete_graph(4), GF2)) is not None
+        assert is_isomorphic(C, cycle_matroid(complete_graph(4), GF2)) is not None
 
 
 def test_ck23_matroid_is_mk23():
@@ -68,7 +78,7 @@ def test_ck23_matroid_is_mk23():
     for q in (2, 3):
         C = catalog_code("C_K23", q)
         assert (
-            is_isomorphic(code_matroid(C), cycle_matroid(complete_bipartite(2, 3), GF2))
+            is_isomorphic(C, cycle_matroid(complete_bipartite(2, 3), GF2))
             is not None
         )
 
@@ -76,10 +86,9 @@ def test_ck23_matroid_is_mk23():
 def test_matroid_independent_of_generator():
     C1 = code(GF3, [(1, 0, 2), (0, 1, 1)])
     C2 = code(GF3, [(1, 1, 0), (0, 1, 1), (1, 2, 1)])  # same row space, redundant rows
-    assert algebra.same_row_space(C1.generator, C2.generator)
-    M1, M2 = code_matroid(C1), code_matroid(C2)
+    assert same_row_space(C1.generator, C2.generator)
     for mask in range(1 << 3):
-        assert M1.rank_subset(mask) == M2.rank_subset(mask)
+        assert C1.rank_subset(mask) == C2.rank_subset(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +96,7 @@ def test_matroid_independent_of_generator():
 
 
 def test_dual_of_repetition_is_even_weight():
-    D = dual_code(REP31)
+    D = dual(REP31)
     assert D.dim == 2
     words = set()
     f = GF2
@@ -103,21 +112,21 @@ def test_dual_is_involution():
     rng = np.random.default_rng(3)
     for _ in range(15):
         C = random_code(rng, GF3, int(rng.integers(1, 7)))
-        DD = dual_code(dual_code(C))
-        assert algebra.same_row_space(DD.generator, C.generator)
+        DD = dual(dual(C))
+        assert same_row_space(DD.generator, C.generator)
         assert DD.labels == C.labels
 
 
 def test_dual_matroid_correspondence():
-    from matwidth.matroid import dual as matroid_dual
-
+    # the dual code's ranks are the dual matroid's: r*(S) = |S| - r(E) + r(E - S)
     rng = np.random.default_rng(5)
     for _ in range(10):
         C = random_code(rng, GF2, 6)
-        M_of_dual = code_matroid(dual_code(C))
-        dual_of_M = matroid_dual(code_matroid(C))
+        D = dual(C)
+        full = (1 << 6) - 1
         for mask in range(1 << 6):
-            assert M_of_dual.rank_subset(mask) == dual_of_M.rank_subset(mask)
+            expect = bin(mask).count("1") - C.rank_full + C.rank_subset(full ^ mask)
+            assert D.rank_subset(mask) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +135,7 @@ def test_dual_matroid_correspondence():
 
 def test_puncture_nothing():
     C = catalog_code("C_K23", 3)
-    P = puncture(C, [])
+    P = delete(C, [])
     assert P.generator == C.generator and P.labels == C.labels
 
 
@@ -134,34 +143,29 @@ def test_shorten_repetition():
     # codewords vanishing at the shortened coordinate: only the zero word,
     # matching contraction of the rank-1 matroid (remaining elements loops)
     C = LinearCode(matrix(GF2, [(1, 1, 1)]))
-    S = shorten(C, [2])
+    S = contract(C, [2])
     assert S.length == 2 and S.dim == 0
     assert S.labels == (1, 3)
-    M = code_matroid(S)
-    assert M.rank_full == 0
-    from matwidth.matroid import MinorSpec, apply_minor
-
-    contracted = apply_minor(code_matroid(C), MinorSpec(frozenset([2]), frozenset()))
-    assert contracted.rank_full == 0
+    assert all(S.rank_subset([lbl]) == 0 for lbl in S.labels)
 
 
 def test_puncture_repetition_stays_repetition():
     C = LinearCode(matrix(GF2, [(1, 1, 1)]))
-    P = puncture(C, [2])
+    P = delete(C, [2])
     assert P.length == 2 and P.dim == 1
-    assert algebra.same_row_space(P.generator, matrix(GF2, [(1, 1)]))
+    assert same_row_space(P.generator, matrix(GF2, [(1, 1)]))
 
 
 def test_puncture_mds():
     C = catalog_code("MDS(4,2)", 3)
-    P = puncture(C, [3])
-    assert uniform_check(code_matroid(P), 2)
+    P = delete(C, [3])
+    assert uniform_check(P, 2)
     assert P.labels == (1, 2, 4)
 
 
 def test_unknown_label():
     with pytest.raises(UnknownLabel):
-        puncture(REP31, [9])
+        delete(REP31, [9])
 
 
 def test_shorten_is_dual_puncture_dual():
@@ -169,27 +173,26 @@ def test_shorten_is_dual_puncture_dual():
     for _ in range(10):
         C = random_code(rng, GF3, 6)
         J = [1, 4]
-        S = shorten(C, J)
-        alt = dual_code(puncture(dual_code(C), J))
-        assert algebra.same_row_space(S.generator, alt.generator)
+        S = contract(C, J)
+        alt = dual(delete(dual(C), J))
+        assert same_row_space(S.generator, alt.generator)
         assert S.labels == alt.labels == (2, 3, 5, 6)
 
 
 def test_minor_functoriality():
-    from matwidth.matroid import MinorSpec, apply_minor
-
+    # puncturing drops generator columns; shortening has r(X + J) - r(J)
     rng = np.random.default_rng(9)
+    keep = [0, 2, 3, 5]  # coordinates 1, 3, 4, 6
     for _ in range(10):
         C = random_code(rng, GF2, 6)
-        M = code_matroid(C)
         J = frozenset([2, 5])
-        punctured = code_matroid(puncture(C, J))
-        deleted = apply_minor(M, MinorSpec(frozenset(), J))
-        shortened = code_matroid(shorten(C, J))
-        contracted = apply_minor(M, MinorSpec(J, frozenset()))
+        punctured = delete(C, J)
+        dropped = code(GF2, [[row[j] for j in keep] for row in C.generator.entries])
+        shortened = contract(C, J)
         for mask in range(1 << 4):
-            assert punctured.rank_subset(mask) == deleted.rank_subset(mask)
-            assert shortened.rank_subset(mask) == contracted.rank_subset(mask)
+            X = [lbl for i, lbl in enumerate(punctured.labels) if (mask >> i) & 1]
+            assert punctured.rank_subset(mask) == dropped.rank_subset(mask)
+            assert shortened.rank_subset(X) == C.rank_subset(X + sorted(J)) - C.rank_subset(J)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,7 @@ def test_tw_equals_tw_of_dual():
     rng = np.random.default_rng(11)
     for _ in range(15):
         C = random_code(rng, GF3 if rng.integers(2) else GF2, int(rng.integers(2, 9)))
-        assert trellis_width(C).width == trellis_width(dual_code(C)).width
+        assert trellis_width(C).width == trellis_width(dual(C)).width
 
 
 def test_tw_of_an_oversized_code_is_refused_by_the_budget():
@@ -226,86 +229,54 @@ def test_tw_of_an_oversized_code_is_refused_by_the_budget():
 
 
 def test_state_profile_repetition():
-    assert state_profile(REP31, (1, 2, 3)) == (1, 1, 0)
+    assert width_of_ordering(REP31, (1, 2, 3)).prefix_lambdas == (1, 1, 0)
 
 
 def test_state_profile_mds42():
     C = catalog_code("MDS(4,2)", 3)
     for pi in itertools.permutations(C.labels):
-        assert state_profile(C, pi) == (1, 2, 1, 0)
+        assert width_of_ordering(C, pi).prefix_lambdas == (1, 2, 1, 0)
 
 
 def test_state_profile_ck4_triangle_first():
     C = catalog_code("C_K4", 3)
     # columns 1, 2, 4 of the printed generator form a triangle
-    assert state_profile(C, (1, 2, 4, 3, 5, 6)) == (1, 2, 2, 2, 1, 0)
+    assert width_of_ordering(C, (1, 2, 4, 3, 5, 6)).prefix_lambdas == (1, 2, 2, 2, 1, 0)
 
 
 # ---------------------------------------------------------------------------
-# equivalence
+# codewords and monomial transforms
+
+
+def monomial(C, perm, diag) -> LinearCode:
+    """Coordinate i of C scaled by diag[i] and sent to position perm[i];
+    labels reset to the default."""
+    n, field = C.length, C.field
+    entries = [[0] * n for _ in C.generator.entries]
+    for i in range(n):
+        for r, row in enumerate(C.generator.entries):
+            entries[r][perm[i]] = field.mul(diag[i], row[i])
+    return code(field, entries)
 
 
 @pytest.mark.parametrize("field,m_max", REF_FIELDS, ids=lambda x: str(x))
 def test_weight_enumerator_matches_row_space(field, m_max):
+    # the span words of a row basis are the row space, each word once
     rng = np.random.default_rng(field.q + 1)
     for m in range(m_max + 1):
         n = int(rng.integers(1, 7))
         rows = ref_random_rows(field, m, n, rng)
-        C = LinearCode(algebra.GfMatrix(field, rows, cols=n))
-        if field.q**C.dim > 4096:
-            assert _weight_enumerator(C) is None
-            continue
+        basis = algebra.row_basis(algebra.GfMatrix(field, rows, cols=n))
+        gens = np.array(basis.entries, dtype=np.uint8).reshape(basis.rows, n)
+        words = _span_words(field, gens)
+        space = ref_row_space(field, rows, n)
+        assert len(words) == len(space) == len({w.tobytes() for w in words})
+        assert {tuple(int(x) for x in w) for w in words} == space
         counts = [0] * (n + 1)
-        for word in ref_row_space(field, rows, n):
+        for word in space:
             counts[sum(1 for x in word if x)] += 1
-        assert _weight_enumerator(C) == tuple(counts)
-
-
-def test_weight_enumerator_cap():
-    # 2^12 = 4096 codewords are enumerated, 2^13 are not
-    full = LinearCode(algebra.identity_matrix(GF2, 12))
-    assert _weight_enumerator(full) == tuple(math.comb(12, w) for w in range(13))
-    assert _weight_enumerator(LinearCode(algebra.identity_matrix(GF2, 13))) is None
-
-
-def test_equivalent_to_itself():
-    C = catalog_code("C_K23_dual", 3)
-    perm, diag = are_equivalent(C, C)
-    assert perm == (0, 1, 2, 3, 4, 5)
-    assert all(d == 1 for d in diag)
-
-
-def test_equivalence_detects_transposition():
-    # over GF(2) the only diagonal is the identity, so a genuine coordinate
-    # swap needs a nontrivial permutation witness
-    C = code(GF2, [(1, 0, 1, 0), (0, 1, 1, 1)])
-    swapped = transform_code(C, (1, 0, 2, 3), (1, 1, 1, 1))
-    assert not algebra.same_row_space(C.generator, swapped.generator)
-    witness = are_equivalent(C, swapped)
-    assert witness is not None
-    perm, diag = witness
-    assert algebra.same_row_space(transform_code(C, perm, diag).generator, swapped.generator)
-    assert perm != (0, 1, 2, 3)
-
-
-def test_inequivalent_dimensions():
-    C = catalog_code("C_K23", 3)
-    assert are_equivalent(C, dual_code(C)) is None
-
-
-def test_equivalence_with_diagonal_scaling():
-    rng = np.random.default_rng(13)
-    gf4 = algebra.field_new(2, 2)
-    for trial in range(12):
-        field = gf4 if trial % 3 == 0 else GF5
-        C = random_code(rng, field, 5)
-        perm = tuple(int(i) for i in rng.permutation(5))
-        diag = tuple(int(rng.integers(1, field.q)) for _ in range(5))
-        C2 = transform_code(C, perm, diag)
-        witness = are_equivalent(C, C2)
-        assert witness is not None
-        p, d = witness
-        assert algebra.same_row_space(transform_code(C, p, d).generator, C2.generator)
+        weights = np.count_nonzero(words, axis=1)
+        assert np.bincount(weights, minlength=n + 1).tolist() == counts
 
 
 def test_equivalent_codes_have_isomorphic_matroids():
@@ -313,32 +284,25 @@ def test_equivalent_codes_have_isomorphic_matroids():
     C = random_code(rng, GF3, 6)
     perm = tuple(int(i) for i in rng.permutation(6))
     diag = tuple(int(rng.integers(1, 3)) for _ in range(6))
-    C2 = transform_code(C, perm, diag)
+    C2 = monomial(C, perm, diag)
     # constructive: the coordinate permutation itself is the matroid bijection
-    M, M2 = code_matroid(C), code_matroid(C2)
     for mask in range(1 << 6):
         S = [C.labels[i] for i in range(6) if (mask >> i) & 1]
         image = [C2.labels[perm[C.labels.index(lbl)]] for lbl in S]
-        assert M.rank_subset(S) == M2.rank_subset(image)
+        assert C.rank_subset(S) == C2.rank_subset(image)
+    assert is_isomorphic(C, C2) is not None
 
 
 def test_tw_invariant_under_equivalence():
     rng = np.random.default_rng(19)
     for _ in range(5):
         C = random_code(rng, GF3, 5)
-        C2 = transform_code(
+        C2 = monomial(
             C,
             tuple(int(i) for i in rng.permutation(5)),
             tuple(int(rng.integers(1, 3)) for _ in range(5)),
         )
-        assert are_equivalent(C, C2) is not None
         assert trellis_width(C).width == trellis_width(C2).width
-
-
-def test_equivalence_length_cap():
-    C = LinearCode(matrix(GF2, [tuple([1] * 8)]))
-    with pytest.raises(LengthTooLarge):
-        are_equivalent(C, C)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +334,14 @@ def test_g23_dual_is_dual_of_g23():
     for q in (2, 3, 5):
         C = catalog_code("C_K23", q)
         D = catalog_code("C_K23_dual", q)
-        assert algebra.same_row_space(dual_code(C).generator, D.generator)
+        assert same_row_space(dual(C).generator, D.generator)
 
 
 def test_mds_every_k_columns_independent():
     C = catalog_code("MDS(4,2)", 3)
-    assert uniform_check(code_matroid(C), 2)
+    assert uniform_check(C, 2)
     C = catalog_code("MDS(5,3)", 5)
-    assert uniform_check(code_matroid(C), 3)
+    assert uniform_check(C, 3)
 
 
 def test_mds_field_too_small():
@@ -388,16 +352,6 @@ def test_mds_field_too_small():
 def test_unknown_name():
     with pytest.raises(UnknownName):
         catalog_code("C_K5", 2)
-
-
-def test_frobenius_variants():
-    C = catalog_code("C_K4", 3)
-    assert len(frobenius_variants(C)) == 1  # prime field: identity only
-    f4 = algebra.field_new(2, 2)
-    D = LinearCode(matrix(f4, [(1, 2, 3, 0)]))
-    variants = frobenius_variants(D)
-    assert len(variants) == 2
-    assert variants[1].generator.entries == ((1, 3, 2, 0),)  # conjugation swaps 2 and 3
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +390,9 @@ def test_zero_code_and_full_code_duality():
     zero = code_from_text("3 0 3\n")
     assert zero.dim == 0
     assert trellis_width(zero).width == 0
-    full = dual_code(zero)
+    full = dual(zero)
     assert full.dim == 3
-    assert algebra.same_row_space(dual_code(full).generator, zero.generator)
+    assert same_row_space(dual(full).generator, zero.generator)
 
 
 def test_code_text_round_trip():
@@ -455,8 +409,8 @@ def test_code_text_round_trip():
 
 def test_code_is_its_matroid():
     C = catalog_code("C_K23", 3)
-    assert code_matroid(C) is C and isinstance(C, VectorMatroid)
-    for child in (dual_code(C), puncture(C, [2]), shorten(C, [2])):
+    assert isinstance(C, VectorMatroid)
+    for child in (dual(C), delete(C, [2]), contract(C, [2])):
         assert type(child) is LinearCode
 
 
@@ -467,7 +421,7 @@ def test_puncture_and_shorten_read_tables_off_the_parent():
             C = random_code(rng, field, 7)
             C.rank_table()
             J = [int(x) for x in rng.choice(np.arange(1, 8), size=int(rng.integers(1, 4)), replace=False)]
-            for S in (puncture(C, J), shorten(C, J)):
+            for S in (delete(C, J), contract(C, J)):
                 assert isinstance(S, LinearCode) and S._rank_table is not None
                 fresh = VectorMatroid(S.generator, S.labels).rank_table()
                 assert np.array_equal(S.rank_table(), fresh)

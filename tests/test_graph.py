@@ -14,10 +14,8 @@ from matwidth.graph import (
     PathDecomposition,
     TooManyVertices,
     complete_graph,
-    connected_components,
     cycle_graph,
     cycle_matroid,
-    edgeless_graph,
     graph_from_text,
     graph_pathwidth,
     graph_to_text,
@@ -29,7 +27,7 @@ from matwidth.graph import (
 )
 from matwidth.matroid import GroundSetTooLarge
 from matwidth.pathwidth import pathwidth_exact, width_of_ordering
-from util import GF2, GF3, bag_search_pathwidth, graphic_rank
+from util import GF2, GF3, bag_search_pathwidth, connected_components, edgeless_graph, graphic_rank
 
 D = PathDecomposition
 

@@ -245,3 +245,59 @@ def test_sorted_keys_follow_from_the_count_rows(field):
             hist = counts.sum(axis=0, dtype=np.intp) // np.maximum(sizes, 1)
             hist[0] = 1
             assert np.array_equal(np.repeat(np.arange((n + 1) ** 2), hist), keys)
+
+
+class _LoggedTable(np.ndarray):
+    """A rank table that logs (side, bit) for each index-array read whose
+    first index is nonzero.  A table_isomorphism gather reads every subset
+    of the matched elements plus one new bit, empty set first, so that
+    first index is the new bit alone: the element on TM's side, the
+    candidate on TN's."""
+
+    def __getitem__(self, key):
+        log = getattr(self, "log", None)
+        if log is not None and isinstance(key, np.ndarray) and key.size and key.flat[0]:
+            log.append((self.side, int(key.flat[0]).bit_length() - 1))
+        return super().__getitem__(key)
+
+
+def _gathered_pairs(M, N):
+    """table_isomorphism(M, N) on logged tables: the bijection found, and
+    the (element, candidate) pair of every gather on N's table."""
+    log, tables = [], []
+    for side, X in (("M", M), ("N", N)):
+        T = X.rank_table().view(_LoggedTable)
+        T.side, T.log = side, log
+        tables.append(T)
+    bij = table_isomorphism(tables[0], M.labels, tables[1], N.labels)
+    pairs, pos = [], None
+    for side, bit in log:
+        if side == "M":
+            pos = bit
+        else:
+            pairs.append((pos, bit))
+    return bij, pairs
+
+
+def test_candidate_filter_gathers_only_matching_count_rows():
+    # a candidate whose key counts differ from its element's can never be
+    # its image, so the filter keeps it out of the gathers: a loop beside a
+    # parallel pair, then random matroids with loops and parallels planted
+    loop_and_pair = VectorMatroid(GfMatrix(GF2, [(0, 1, 1)], cols=3))
+    cases = [(loop_and_pair, [1, 2, 0]), (loop_and_pair, [0, 1, 2])]
+    rng = np.random.default_rng(700)
+    for field in (GF2, GF3):
+        for n in range(2, 9):
+            M = _with_loops_and_parallels(rng, field, n)
+            cases.append((M, [int(p) for p in rng.permutation(n)]))
+    differing = 0
+    for M, perm in cases:
+        N = _relabelled(M, perm)
+        bij, pairs = _gathered_pairs(M, N)
+        assert bij is not None and pairs
+        counts_m = iso_invariants(M.rank_table(), M.size)[1]
+        counts_n = iso_invariants(N.rank_table(), N.size)[1]
+        for pos, cand in pairs:
+            assert np.array_equal(counts_n[cand], counts_m[pos]), (pos, cand)
+        differing += len({row.tobytes() for row in counts_m}) > 1
+    assert differing >= len(cases) // 2

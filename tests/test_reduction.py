@@ -442,3 +442,31 @@ def test_reorder_stuck_diagnostic_on_broken_apex_invariants():
     M = apex_matroid(broken, GF2)
     with pytest.raises(ReorderStuck):
         reorder(broken, M, tuple(M.labels))
+
+
+# ---------------------------------------------------------------------------
+# the reverse direction in `verify reduction`
+
+
+@pytest.mark.parametrize("forged", ["wide", "invalid"])
+def test_verify_reduction_flags_a_bad_reverse_decomposition(monkeypatch, forged):
+    from matwidth import reduction, verify
+
+    def one_bag(A, ordering):
+        # every vertex in one bag is a valid decomposition, but wider than
+        # pw(G) on any graph that is not complete
+        return PathDecomposition((frozenset(range(A.base.vertex_count)),))
+
+    def no_bags(A, ordering):
+        return PathDecomposition(())
+
+    monkeypatch.setattr(reduction, "ordering_to_decomp", one_bag if forged == "wide" else no_bags)
+    r = verify.check_reduction(seed=23, extra_samples=0)
+    assert not r["ok"] and r["checked"] == 10
+    flagged = {v["graph"] for v in r["violations"] if v.get("kind") == "reverse"}
+    if forged == "wide":
+        # K1, K2, K3 and K4 are complete: one bag is an optimal decomposition
+        assert flagged == {"P3", "P4", "star13", "paw", "C4", "diamond"}
+        assert all(v["decomp_width"] > v["pw_matroid"] - 1 for v in r["violations"])
+    else:
+        assert len(flagged) == 10 and all("error" in v for v in r["violations"])

@@ -15,6 +15,7 @@ import numpy as np
 
 from matwidth import field_new
 from matwidth.algebra import GfMatrix
+from matwidth.graph import MultiGraph, mk_graph
 from matwidth.matroid import VectorMatroid
 
 GF2 = field_new(2)
@@ -71,6 +72,27 @@ def graphic_rank(G, edge_labels) -> int:
             parent[ru] = rv
             rank += 1
     return rank
+
+
+def edgeless_graph(n: int) -> MultiGraph:
+    return mk_graph(n, [])
+
+
+def connected_components(G: MultiGraph) -> int:
+    """Number of components (isolated vertices included), by union-find."""
+    parent = list(range(G.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, _ in G.edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return len({find(v) for v in range(G.vertex_count)})
 
 
 def graphic_lambda(G, edge_labels) -> int:
@@ -201,6 +223,13 @@ def ref_row_space(field, rows, n) -> set:
             multiples = {ref_scale(field, c, row) for c in range(field.q)}
             space = {ref_add(field, s, t) for s in space for t in multiples}
     return space
+
+
+def same_row_space(A: GfMatrix, B: GfMatrix) -> bool:
+    """Equal row spaces, compared word by word over the enumerated spaces."""
+    if A.field != B.field or A.cols != B.cols:
+        return False
+    return ref_row_space(A.field, A.entries, A.cols) == ref_row_space(B.field, B.entries, B.cols)
 
 
 def ref_dimension(field, space) -> int:
