@@ -21,7 +21,12 @@ fresh interpreter per tree and input, the trees taking turns).  Inputs:
   within w*), and "mds17-16-8", the [16,8] MDS code over GF(17) (every
   state within w* = 8 of lambda);
 - "golay": `pathwidth_exact` on the extended Golay [24,12,8] code, a
-  fresh matroid for each run.
+  fresh matroid for each run;
+- "graph": `graph_pathwidth` on the seeded graph of n = 16, 20 and 22
+  vertices and 2n edges (`verify.random_graph` drawn from
+  `verify.rng_for(n)`): the vertex-boundary costs and the same DP.  A
+  tree whose `graph_pathwidth` caps the vertex count below n records the
+  case as skipped, with the cap as the reason.
 
 The answer (width and ordering) must agree between trees.
 """
@@ -37,6 +42,7 @@ import harness
 APEX = ("P6", "K23", "C6", "K4", "K5")
 DP_SIZES = (20, 22, 24)
 LAMBDA_TABLES = ("gf2-17-8", "mds17-16-8")
+GRAPH_SIZES = (16, 20, 22)
 OLD_CAP = (30,)  # for trees whose pathwidth_exact takes an element cap
 
 
@@ -95,6 +101,22 @@ def runner(group: str, arg: str):
             return time.perf_counter() - start, [cert.width, list(cert.ordering)]
 
         return run
+    if group == "graph":
+        from matwidth import graph
+        from matwidth.verify import random_graph, rng_for
+
+        n = int(arg)
+        cap = getattr(graph, "MAX_PATHWIDTH_VERTICES", n)
+        if n > cap:
+            return f"graph_pathwidth refuses more than {cap} vertices"
+        G = random_graph(n, 2 * n, rng_for(n))
+
+        def run():
+            start = time.perf_counter()
+            width, decomp = graph.graph_pathwidth(G)
+            return time.perf_counter() - start, [width, [sorted(bag) for bag in decomp.bags]]
+
+        return run
     import numpy as np
 
     from matwidth.pathwidth import prefix_dp
@@ -116,7 +138,8 @@ def runner(group: str, arg: str):
     return run
 
 
-INPUTS = {"apex": APEX, "dp": [str(n) for n in DP_SIZES], "lam": LAMBDA_TABLES, "golay": ["golay"]}
+INPUTS = {"apex": APEX, "dp": [str(n) for n in DP_SIZES], "lam": LAMBDA_TABLES, "golay": ["golay"],
+          "graph": [str(n) for n in GRAPH_SIZES]}
 CASES = [({"group": group, "input": arg}, (group, arg)) for group in INPUTS for arg in INPUTS[group]]
 
 if __name__ == "__main__":

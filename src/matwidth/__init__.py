@@ -5,7 +5,6 @@ from .algebra import (
     GfMatrix,
     field_new,
     field_from_order,
-    matrix_from_text,
     matrix_to_text,
     rank,
     rref,
@@ -14,7 +13,6 @@ from .codes import (
     LinearCode,
     catalog_code,
     trellis_width,
-    tw_le_1_check,
 )
 from .graph import (
     MultiGraph,

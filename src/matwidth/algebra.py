@@ -499,8 +499,3 @@ def matrix_from_lines(lines, start: int = 0) -> tuple:
         rows.append(row)
         i += 1
     return GfMatrix(field, rows, cols=n), i
-
-
-def matrix_from_text(text: str) -> GfMatrix:
-    A, _ = matrix_from_lines(text.splitlines())
-    return A

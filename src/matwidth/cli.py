@@ -113,7 +113,7 @@ def cmd_verify_excluded(args) -> CommandResult:
 
 def cmd_check_tw1(args) -> CommandResult:
     C = codes.code_from_text(_read(args.code))
-    ok, witness = codes.tw_le_1_check(C)
+    ok, witness = minors.pw_le_1_by_minors(C)
     payload = {"tw_le_1": ok, "witness": witness.to_doc() if witness else None}
     summary = "trellis-width <= 1" if ok else f"trellis-width > 1 ({witness.pattern_name} minor)"
     return CommandResult(OK, payload, summary)

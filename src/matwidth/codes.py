@@ -1,8 +1,11 @@
 """Linear codes as the vector matroids of their labelled generator
 matrices, so puncturing, shortening and duals are the matroid layer's
-`delete`, `contract` and `dual`; trellis-width as matroid pathwidth, the
-trellis-width <= 1 test, and the catalog codes used by the
-trellis-width-one characterization.
+`delete`, `contract` and `dual`; trellis-width as matroid pathwidth, and
+the catalog codes used by the trellis-width-one characterization.  A code
+is a matroid, so it meets the matroid layer's caps and no others:
+`trellis_width` is refused by the byte budget, and the trellis-width <= 1
+test is `minors.pw_le_1_by_minors`, refused past 12 coordinates by its
+minor search.
 """
 
 from __future__ import annotations
@@ -10,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 
-from . import algebra, minors
+from . import algebra
 from .algebra import FieldSpec, GfMatrix
 from .matroid import VectorMatroid, matroid_to_text, parse_matroid_text
 from .pathwidth import WidthCertificate, pathwidth_exact
@@ -20,11 +22,6 @@ from .pathwidth import WidthCertificate, pathwidth_exact
 
 class UnknownLabel(ValueError):
     """A coordinate label is not part of the code."""
-
-
-class LengthTooLarge(ValueError):
-    """The trellis-width <= 1 check refuses codes longer than
-    minors.PW1_MAX_GROUND."""
 
 
 class UnknownName(ValueError):
@@ -66,7 +63,7 @@ class LinearCode(VectorMatroid):
 def trellis_width(C: LinearCode) -> WidthCertificate:
     """tw(C) = pathwidth of the associated matroid, with an optimal
     coordinate ordering as the certificate; refused as `pathwidth_exact`
-    refuses it (GroundSetTooLargeForExact)."""
+    refuses it (`matroid.check_budget`)."""
     return pathwidth_exact(C)
 
 
@@ -119,29 +116,6 @@ def catalog_code(name: str, field_or_q) -> LinearCode:
     if m:
         return mds_code(int(m.group(1)), int(m.group(2)), field)
     raise UnknownName(f"unknown catalog code {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# the trellis-width <= 1 test
-
-
-@dataclass
-class Tw1Witness:
-    pattern_name: str
-    certificate: minors.MinorCertificate
-
-    def to_doc(self) -> dict:
-        return self.certificate.to_doc()
-
-
-def tw_le_1_check(C: LinearCode):
-    """(tw(C) <= 1, excluded-minor witness or None) by `pw_le_1_by_minors`,
-    which runs the witness search and the exact solver and requires them to
-    agree."""
-    if C.length > minors.PW1_MAX_GROUND:
-        raise LengthTooLarge(f"length {C.length} exceeds the cap {minors.PW1_MAX_GROUND}")
-    ok, cert = minors.pw_le_1_by_minors(C)
-    return ok, None if cert is None else Tw1Witness(cert.pattern_name, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ separation, cycle matroids from incidence matrices, and umbrella graphs.
 Graph pathwidth is computed by the vertex-separation subset DP (the layout
 quantity equals pathwidth) and the witnessing layout is converted to bags;
 a brute-force search over bounded-width bag sequences backs it up for tiny
-graphs in the test suite.
+graphs in the test suite.  The DP has the matroid solver's refusal rule,
+`matroid.check_budget`, with its 2^n states at STATE_BYTES each: 25
+vertices fit, 26 are refused before anything is allocated.  The boundary
+costs are built one row of LOW_STATES subsets at a time, so their
+temporaries stay within that allowance.
 """
 
 from __future__ import annotations
@@ -14,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldSpec, GfMatrix
-from .matroid import MAX_GROUND, GroundSetTooLarge, VectorMatroid, label_key
-from .pathwidth import prefix_dp
-
-MAX_PATHWIDTH_VERTICES = 16
-
-
-class TooManyVertices(ValueError):
-    """Exact graph pathwidth is capped at 16 vertices."""
+from .matroid import MAX_GROUND, GroundSetTooLarge, VectorMatroid, check_budget, label_key
+from .pathwidth import LOW_STATES, prefix_dp
 
 
 class NotADecomposition(ValueError):
@@ -146,21 +144,14 @@ def validate_path_decomposition(G: MultiGraph, D: PathDecomposition) -> int:
 
 def graph_pathwidth(G: MultiGraph) -> tuple:
     """Exact pw(G) and a witnessing decomposition, via the vertex-separation
-    subset DP; parallel edges and loops cannot affect the value."""
+    subset DP; parallel edges and loops cannot affect the value.  Refused
+    by `check_budget` for its 2^n states (module docstring)."""
     n = G.vertex_count
-    if n > MAX_PATHWIDTH_VERTICES:
-        raise TooManyVertices(f"{n} vertices exceeds the cap {MAX_PATHWIDTH_VERTICES}")
+    check_budget(0, 1 << n)
     if n == 0:
         return 0, PathDecomposition(())
     adj = G.adjacency_masks()
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint32)
-    boundary = np.zeros(size, dtype=np.uint8)
-    for u in range(n):
-        in_s = (masks >> u) & 1
-        has_out = (masks & np.uint32(adj[u])) != np.uint32(adj[u])
-        boundary += (in_s & has_out).astype(np.uint8)
-    vs_value, layout = prefix_dp(boundary, n, lambda v: v)
+    vs_value, layout = prefix_dp(_boundary(adj, n), n, lambda v: v)
     bags = []
     placed = 0
     for v in layout:
@@ -174,6 +165,24 @@ def graph_pathwidth(G: MultiGraph) -> tuple:
     width = validate_path_decomposition(G, decomp)
     assert width == vs_value, "layout-to-bags conversion changed the width"
     return vs_value, decomp
+
+
+def _boundary(adj, n) -> np.ndarray:
+    """boundary[S] = the number of vertices of S with a neighbour outside
+    S, for every subset S of the n vertices (uint8), one row of at most
+    LOW_STATES subsets at a time; a graph of at most 16 vertices is one
+    row."""
+    size = 1 << n
+    step = min(size, LOW_STATES)
+    boundary = np.zeros(size, dtype=np.uint8)
+    for start in range(0, size, step):
+        masks = np.arange(start, start + step, dtype=np.uint32)
+        row = boundary[start:start + step]
+        for u in range(n):
+            in_s = (masks >> u) & 1
+            has_out = (masks & np.uint32(adj[u])) != np.uint32(adj[u])
+            row += (in_s & has_out).astype(np.uint8)
+    return boundary
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,16 @@
 Ground subsets travel as int bitmasks over column positions (ground sets are
 capped at 64 elements); every public query also accepts an iterable of
 labels.  Rank queries are memoized, and a full rank table over all 2^n
-subsets can be materialized for the exact solvers.  `rank_table` refuses,
-before building anything, a table whose working set (TABLE_BYTES per
-entry) would pass the exact solvers' budget EXACT_BYTES, so no table has
-more than 2^24 entries.
+subsets can be materialized for the exact solvers.
+
+Work is refused before it is done by one of three rules.  `check_budget`
+decides for every table and DP: TABLE_BYTES per rank-table entry plus
+STATE_BYTES per DP state must fit in EXACT_BYTES, what a simple
+24-element matroid needs.  `rank_table`, `pathwidth_exact` and
+`graph_pathwidth` call it, so no table has more than 2^24 entries and a
+graph DP no more than 2^25 states.  The exhaustive searches (isomorphism
+and the minor search) share ISO_MAX_GROUND = 12 elements, which `bits(n)`
+needs.  Ground sets are bitmasks of at most MAX_GROUND = 64 elements.
 
 Both backends build the table of N, the column matroid of an m x n
 generator: of the row space C (dimension k) when k <= n - k, else of its
@@ -82,12 +88,13 @@ from . import algebra
 from .algebra import GfMatrix
 
 MAX_GROUND = 64
+# the exhaustive searches' one cap: isomorphism and the minor search
 ISO_MAX_GROUND = 12
-# the exact solvers' one memory rule, checked before anything is allocated:
-# TABLE_BYTES per rank-table entry (the counting backend's uint32 counts,
-# exponent and temporary) and STATE_BYTES per class-count state of the
-# pathwidth DP (lambda, B and its padding, chunk buffers), within
-# EXACT_BYTES, what a simple 24-element matroid needs
+# the exact solvers' one memory rule (`check_budget`): TABLE_BYTES per
+# rank-table entry (the counting backend's uint32 counts, exponent and
+# temporary) and STATE_BYTES per DP state (lambda or vertex boundary, B
+# and its padding, chunk buffers), within EXACT_BYTES, what a simple
+# 24-element matroid needs
 TABLE_BYTES, STATE_BYTES = 6, 4
 EXACT_BYTES = (TABLE_BYTES + STATE_BYTES) << 24
 # rank tables are counted from codeword supports while q^min(k, n - k) is at
@@ -99,7 +106,8 @@ _PACK_BYTES = np.uint64(0x0102040810204080)
 
 
 class GroundSetTooLarge(ValueError):
-    """Ground set exceeds a hard size cap."""
+    """The input is refused by a cap: the byte budget (`check_budget`),
+    ISO_MAX_GROUND for the exhaustive searches, or MAX_GROUND."""
 
 
 class OverlappingSets(ValueError):
@@ -244,14 +252,11 @@ class VectorMatroid:
 
     def rank_table(self) -> np.ndarray:
         """Ranks of all 2^n subsets (uint8, indexed by mask), built by the
-        backend that `table_backend` names for this matroid.  Refuses before
-        building when its working set alone would pass EXACT_BYTES."""
+        backend that `table_backend` names for this matroid.  Refuses by
+        `check_budget` before building anything."""
         if self._rank_table is None:
             n = self.size
-            if TABLE_BYTES << n > EXACT_BYTES:
-                raise GroundSetTooLarge(
-                    f"a 2^{n}-entry rank table would need about {(TABLE_BYTES << n) / 1e6:.0f} MB, "
-                    f"over the budget of {EXACT_BYTES / 1e6:.0f} MB")
+            check_budget(1 << n)
             if table_backend(self.field.q, n, self.rank_full) == "count":
                 table = self._count_rank_table()
             else:
@@ -286,6 +291,18 @@ class VectorMatroid:
 
     def __repr__(self):
         return f"VectorMatroid({self.field!r}, n={self.size}, rank={self.rank_full})"
+
+
+def check_budget(table_entries: int, states: int = 0) -> None:
+    """The exact solvers' one memory rule, checked before anything is
+    allocated: a rank table of table_entries entries (TABLE_BYTES each)
+    and a DP over states states (STATE_BYTES each) must fit in
+    EXACT_BYTES, or GroundSetTooLarge is raised."""
+    need = TABLE_BYTES * table_entries + STATE_BYTES * states
+    if need > EXACT_BYTES:
+        raise GroundSetTooLarge(
+            f"{table_entries} rank-table entries and {states} DP states would need about "
+            f"{need / 1e6:.0f} MB, over the budget of {EXACT_BYTES / 1e6:.0f} MB")
 
 
 def table_backend(q: int, n: int, k: int) -> str:
@@ -487,8 +504,9 @@ def direct_sum(M1: VectorMatroid, M2: VectorMatroid) -> VectorMatroid:
 def is_isomorphic(M: VectorMatroid, N: VectorMatroid):
     """A label bijection {e of M -> f of N} under which the rank functions
     agree on every subset, or None."""
-    if M.size > ISO_MAX_GROUND or N.size > ISO_MAX_GROUND:
-        raise GroundSetTooLarge(f"isomorphism capped at {ISO_MAX_GROUND} elements")
+    n = max(M.size, N.size)
+    if n > ISO_MAX_GROUND:
+        raise GroundSetTooLarge(f"{n} > {ISO_MAX_GROUND} elements for an exhaustive search")
     if M.size != N.size or M.rank_full != N.rank_full:
         return None
     return table_isomorphism(M.rank_table(), M.labels, N.rank_table(), N.labels)

@@ -7,6 +7,10 @@ validated at build time by an oracle for its defining property (uniform:
 every k-subset of columns independent; graphic: rank = vertices minus
 components on every edge subset; Fano: 7 elements, rank 3, exactly 7
 dependent triples).
+
+The minor search is exhaustive, so it has the isomorphism search's cap,
+`matroid.ISO_MAX_GROUND` = 12 elements, and so has everything that runs
+it: the pathwidth <= 1 test `pw_le_1_by_minors` and, on codes, `check-tw1`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from . import graph as graphmod
 from . import matroid as matroidmod
 from .algebra import FieldSpec, GfMatrix, rank_of_columns
 from .matroid import (
+    ISO_MAX_GROUND,
     GroundSetTooLarge,
     MinorSpec,
     VectorMatroid,
@@ -30,14 +35,6 @@ from .matroid import (
     table_isomorphism,
 )
 from .pathwidth import pathwidth_exact
-
-HOST_MAX_GROUND = 12
-PW1_MAX_GROUND = 10
-
-
-class HostTooLarge(ValueError):
-    """Exhaustive minor search is capped at 12 host elements."""
-
 
 class UniformNotRepresentable(ValueError):
     """No U_{k,n} representation exists over the given field."""
@@ -273,7 +270,8 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
     pairs are tried in lexicographic label order, so the first certificate
     found is canonical.  Every candidate is read off the host's rank table
     T: it has rank T(E - Y) - |X| and rank table T(S + X) - |X|, so no
-    minor matrix is built.
+    minor matrix is built.  Hosts of more than ISO_MAX_GROUND elements, the
+    cap of every exhaustive search, are refused.
 
     The candidates of one contract set X are tested in one numpy batch.
     The delete sets Y of each size are listed once, in lexicographic order,
@@ -289,8 +287,8 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
     check-minor queries and below 1 MB on 12-element hosts against the
     w = 1 catalog."""
     n_host, n_pat = host.size, pattern.size
-    if n_host > HOST_MAX_GROUND:
-        raise HostTooLarge(f"{n_host} > {HOST_MAX_GROUND} host elements")
+    if n_host > ISO_MAX_GROUND:
+        raise GroundSetTooLarge(f"{n_host} > {ISO_MAX_GROUND} elements for an exhaustive search")
     if n_pat > n_host or pattern.rank_full > host.rank_full:
         return None
     T = host.rank_table()
@@ -384,10 +382,11 @@ def catalog_minor_witness(M: VectorMatroid, w: int):
 
 
 def pw_le_1_by_minors(M: VectorMatroid):
-    """Decide pathwidth <= 1 by excluded minors; cross-checked against the
-    exact solver (a mismatch would be an implementation bug and raises)."""
-    if M.size > PW1_MAX_GROUND:
-        raise GroundSetTooLarge(f"{M.size} > {PW1_MAX_GROUND} elements")
+    """(pathwidth <= 1, the first catalog minor's certificate or None),
+    decided by excluded minors and cross-checked against the exact solver
+    (a mismatch would be an implementation bug and raises).  For a code
+    this is the trellis-width <= 1 test; the minor search refuses more
+    than ISO_MAX_GROUND elements."""
     cert = catalog_minor_witness(M, 1)
     by_minors = cert is None
     by_exact = pathwidth_exact(M).width <= 1

@@ -48,12 +48,14 @@ B(S - e), so this is the subset DP's tie rule: the e with smallest
 every element has a parallel twin, so an n-element instance has 3^(n/2)
 states instead of 2^n.
 
-The solver has one refusal rule, a byte budget checked before anything is
-allocated: TABLE_BYTES per entry of the simplification's rank table plus
-STATE_BYTES per class-count state must fit in EXACT_BYTES (`matroid`),
+The solver has one refusal rule, `matroid.check_budget`, checked before
+anything is allocated: TABLE_BYTES per entry of the simplification's rank
+table plus STATE_BYTES per class-count state must fit in EXACT_BYTES,
 what a simple 24-element matroid needs.  The number of elements does not
 count by itself: K5's apex matroid (30 elements, 15 parallel pairs, a
 2^15 table and 3^15 states) fits, a simple 25-element matroid does not.
+Graph pathwidth (`graph.graph_pathwidth`) is refused by the same rule,
+with no table and 2^n states.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .matroid import EXACT_BYTES, STATE_BYTES, TABLE_BYTES, VectorMatroid, delete, label_key
+from .matroid import VectorMatroid, check_budget, delete, label_key
 
 LOW_STATES = 1 << 16  # low part of the state space, grouped by digit sum once
 CHUNK = 1 << 12  # states relaxed at once, or 1/128 of the states on large spaces
@@ -74,10 +76,6 @@ ONE_GATHER = 1 << 13  # up to this many predecessors, one gather at computed ind
 
 class NotAPermutation(ValueError):
     """The given ordering is not a permutation of the ground set."""
-
-
-class GroundSetTooLargeForExact(ValueError):
-    """The exact solver's memory budget refuses the input; no silent approximation."""
 
 
 class TooFewElements(ValueError):
@@ -189,7 +187,7 @@ def prefix_dp(cost: np.ndarray, classes, tie_key) -> tuple:
     last.  Returns (B(full state), order).
 
     cost is uint8 with every entry below 255 (lambda <= 64 on a matroid, at
-    most 16 on a graph's vertex boundary).  The DP runs in threshold passes
+    most 25 on a graph's vertex boundary).  The DP runs in threshold passes
     (module docstring) from the largest layer minimum of cost upwards; a
     pass at w leaves B(x) where it is at most w and a value above w
     elsewhere."""
@@ -349,24 +347,19 @@ class _StateSpace:
 
 
 def pathwidth_exact(M: VectorMatroid) -> WidthCertificate:
-    """Optimal width and a witnessing ordering.  Refuses, before allocating
-    anything, when the simplification's rank table and the class-count
-    states would need more than EXACT_BYTES (module docstring)."""
+    """Optimal width and a witnessing ordering.  Refused by `check_budget`,
+    before anything is allocated, for the simplification's rank table and
+    the class-count states (module docstring)."""
     if M.size == 0:
         return WidthCertificate(0, (), ())
     classes = parallel_classes(M)
-    _, states = _strides(classes)
-    need = TABLE_BYTES * 2 ** len(classes) + STATE_BYTES * states
-    if need > EXACT_BYTES:
-        raise GroundSetTooLargeForExact(
-            f"the exact DP would need about {need / 1e6:.0f} MB (a 2^{len(classes)}-entry rank "
-            f"table, {states} states), over its budget of {EXACT_BYTES / 1e6:.0f} MB")
+    strides, states = _strides(classes)
+    check_budget(1 << len(classes), states)
     lam = _class_lambdas(M, classes)
     width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]))
     # the certificate's lambdas come from elimination, so the table that
     # produced the width cannot vouch for itself
     cert = width_of_ordering(M, [M.labels[i] for i in order])
-    strides, _ = _strides(classes)
     stride_of = {i: strides[j] for j, c in enumerate(classes) for i in c}
     x = 0
     for i, lam_i in zip(order, cert.prefix_lambdas):

@@ -8,6 +8,7 @@ with certificates.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 from .algebra import FieldSpec
@@ -207,14 +208,16 @@ def reorder(A: ApexGraph, M: VectorMatroid, ordering) -> tuple:
     """Run the re-ordering pass: at step j, pull forward a closure element of
     the length-j prefix (preferring classes Lx, LG, RG, Rx), or, when the
     prefix is a flat, the apex l-edge reachable at the least extension.
-    The output never has larger width and induces the aligned block shape."""
+    The output never has larger width and induces the aligned block shape.
+    M's rank table is built first whenever `check_budget` admits it (at
+    most 24 elements); past that, ranks are memoized queries."""
     if not is_normal(A, ordering):
         raise NotNormal("input ordering must be normal")
     seq = list(ordering)
     n = len(seq)
     if set(seq) != set(M.labels) or n != M.size:
         raise ValueError("ordering must permute the matroid's ground set")
-    if M.size <= 20:
+    with contextlib.suppress(GroundSetTooLarge):
         M.rank_table()
     lx_labels = {lbl for lbl, cls in A.edge_class.items() if cls == CLASS_LX}
 

@@ -101,7 +101,7 @@ def check_duality(samples=200, seed=7, n_max=9, qs=(2, 3)) -> dict:
     rng = rng_for(seed)
     violations = []
     for i in range(samples):
-        field = field_new(int(qs[i % len(qs)]))
+        field = field_from_order(int(qs[i % len(qs)]))
         n = int(rng.integers(2, n_max + 1))
         M = random_matroid(field, n, rng)
         a = pathwidth_exact(M).width
@@ -116,7 +116,7 @@ def check_minor_monotonicity(samples=200, seed=11, n_max=9, qs=(2, 3)) -> dict:
     rng = rng_for(seed)
     violations = []
     for i in range(samples):
-        field = field_new(int(qs[i % len(qs)]))
+        field = field_from_order(int(qs[i % len(qs)]))
         n = int(rng.integers(2, n_max + 1))
         M = random_matroid(field, n, rng)
         pw = pathwidth_exact(M).width
@@ -139,7 +139,7 @@ def check_direct_sum(samples=100, seed=13, n_max=6, qs=(2, 3)) -> dict:
     rng = rng_for(seed)
     violations = []
     for i in range(samples):
-        field = field_new(int(qs[i % len(qs)]))
+        field = field_from_order(int(qs[i % len(qs)]))
         n1 = int(rng.integers(1, n_max + 1))
         n2 = int(rng.integers(1, n_max + 1))
         M1 = random_matroid(field, n1, rng)
@@ -157,7 +157,7 @@ def check_caterpillar(samples=100, seed=17, n_max=8, qs=(2, 3)) -> dict:
     rng = rng_for(seed)
     violations = []
     for i in range(samples):
-        field = field_new(int(qs[i % len(qs)]))
+        field = field_from_order(int(qs[i % len(qs)]))
         n = int(rng.integers(2, n_max + 1))
         M = random_matroid(field, n, rng)
         pi = [M.labels[int(j)] for j in rng.permutation(n)]
@@ -189,7 +189,7 @@ def check_reduction(seed=23, extra_samples=20, field_q=2) -> dict:
     on its own: the optimal ordering, normalized and re-ordered, gives a
     decomposition of the doubled base graph of width <= pw(M) - 1,
     validated without graph_pathwidth."""
-    field = field_new(field_q)
+    field = field_from_order(field_q)
     violations = []
     cases = reduction_test_graphs(seed, extra_samples)
     for name, G in cases:
@@ -216,7 +216,7 @@ def check_reduction(seed=23, extra_samples=20, field_q=2) -> dict:
 
 def check_decomp_to_ordering(seed=23, extra_samples=20, field_q=2) -> dict:
     """Orderings induced by optimal decompositions have width <= pw(G) + 1."""
-    field = field_new(field_q)
+    field = field_from_order(field_q)
     violations = []
     cases = reduction_test_graphs(seed, extra_samples)
     for name, G in cases:
@@ -235,7 +235,7 @@ def check_reorder(graph="k3", samples=200, seed=29, field_q=2) -> dict:
     block shape, and satisfies the closure-step law along normal orderings."""
     if graph not in NAMED_GRAPHS:
         raise KeyError(f"unknown graph {graph!r}")
-    field = field_new(field_q)
+    field = field_from_order(field_q)
     G = NAMED_GRAPHS[graph]()
     A = redmod.add_apex(redmod.simplify_double(G))
     M = redmod.apex_matroid(A, field)
@@ -280,7 +280,7 @@ def check_reorder(graph="k3", samples=200, seed=29, field_q=2) -> dict:
 
 def check_umbrellas(m_max=6, max_parallel=2, field_q=2) -> dict:
     """Every umbrella's explicit ordering certifies pathwidth <= 1."""
-    field = field_new(field_q)
+    field = field_from_order(field_q)
     violations = []
     checked = 0
     for m in range(2, m_max + 1):
@@ -341,12 +341,12 @@ def check_tw1_codes(samples=300, seed=37, n_max=7, qs=(2, 3)) -> dict:
     rng = rng_for(seed)
     violations = []
     for i in range(samples):
-        field = field_new(int(qs[i % len(qs)]))
+        field = field_from_order(int(qs[i % len(qs)]))
         n = int(rng.integers(2, n_max + 1))
         C = random_code(field, n, rng)
         try:
             # raises if the solver and the minor search disagree
-            codesmod.tw_le_1_check(C)
+            minorsmod.pw_le_1_by_minors(C)
         except RuntimeError as exc:
             violations.append({"sample": i, "error": str(exc),
                                "generator": matrix_to_text(C.generator)})

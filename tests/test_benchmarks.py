@@ -19,7 +19,7 @@ SMALLEST = {
     "cli_ops.py": ("reduce-verify", "1", "0"),
 }
 # groups of a script beyond the one its smallest input runs
-GROUPS = {"minor_search.py iso-hosts": ("iso-hosts", "4:1:F7")}
+GROUPS = {"minor_search.py iso-hosts": ("iso-hosts", "4:1:F7"), "prefix_dp.py graph": ("graph", "16")}
 
 
 def test_every_script_has_a_smoke_input():

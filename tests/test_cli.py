@@ -1,11 +1,12 @@
 """The command-line front end: JSON payloads, exit codes, emitted files."""
 
+import inspect
 import json
 import tracemalloc
 
 import pytest
 
-from matwidth import algebra
+from matwidth import algebra, verify
 from matwidth.cli import main
 from matwidth.codes import catalog_code, code_to_text
 from matwidth.graph import complete_graph, cycle_graph, graph_from_text, graph_to_text
@@ -115,7 +116,7 @@ def test_reduce_k3_verify_and_files(capsys, tmp_path):
     assert code == 0
     assert payload["verify"]["pw_matroid"] == 3 == payload["verify"]["pw_graph"] + 1
     # emitted files round-trip to the in-memory objects
-    mat = algebra.matrix_from_text((tmp_path / "out.mat").read_text())
+    mat, _ = algebra.matrix_from_lines((tmp_path / "out.mat").read_text().splitlines())
     assert algebra.matrix_to_text(mat) == payload["matrix"]
     sidecar = json.loads((tmp_path / "out.json").read_text())
     assert sidecar == payload["sidecar"]
@@ -286,6 +287,25 @@ def test_verify_p1q_over_extension_field(capsys):
     assert payload["ok"] is True and payload["params"]["q"] == 4
 
 
+@pytest.mark.parametrize("q", [4, 9])
+@pytest.mark.parametrize("suite,kwargs", [
+    (verify.check_duality, {"samples": 4, "n_max": 6}),
+    (verify.check_minor_monotonicity, {"samples": 3, "n_max": 5}),
+    (verify.check_direct_sum, {"samples": 3, "n_max": 4}),
+    (verify.check_caterpillar, {"samples": 4, "n_max": 6}),
+    (verify.check_tw1_codes, {"samples": 4, "n_max": 6}),
+    (verify.check_reduction, {"extra_samples": 2}),
+    (verify.check_decomp_to_ordering, {"extra_samples": 2}),
+    (verify.check_reorder, {"samples": 3}),
+    (verify.check_umbrellas, {"m_max": 3, "max_parallel": 1}),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_verify_suites_build_the_field_of_each_order(suite, kwargs, q):
+    # the suites take field orders: GF(4) and GF(9) are extension fields
+    field = "qs" if "qs" in inspect.signature(suite).parameters else "field_q"
+    report = suite(**kwargs, **{field: (q,) if field == "qs" else q})
+    assert report["ok"] and report["checked"] > 0
+
+
 def test_verify_p1q_non_prime_power_is_error(capsys):
     code, payload, _ = run(capsys, "verify", "p1q", "--q", "6", "--n", "6", "--samples", "20")
     assert code == 1
@@ -345,3 +365,34 @@ def test_reduce_refuses_a_large_graph_before_building_it(capsys, tmp_path):
     assert code == 1
     assert payload == {"error": "2000000 > 64 ground elements"}
     assert peak < 10 * 2**20
+
+
+def _simple_gf2_matrix_text(n):
+    """n distinct nonzero columns of GF(2)^5: a simple n-element matroid."""
+    cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, n + 1)]
+    return f"2 5 {n}\n" + "\n".join(" ".join(str(c[i]) for c in cols) for i in range(5)) + "\n"
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["pathwidth"], _simple_gf2_matrix_text(25), "budget"),
+    # 17 isolated vertices: the graph DP's 2^17 states fit, the apex
+    # matroid's 3^17 class-count states do not
+    (["reduce", "--verify"], "17\n", "budget"),
+    (["check-minor", "--pattern", "MK4", "--host"], "2 1 13\n" + " ".join(["1"] * 13) + "\n",
+     "13 > 12 elements for an exhaustive search"),
+    (["check-tw1"], "2 1 13\n" + " ".join(["1"] * 13) + "\n", "13 > 12 elements for an exhaustive search"),
+], ids=["pathwidth-25", "reduce-verify-17", "check-minor-13", "check-tw1-13"])
+def test_each_refusal_is_one_json_error_line(capsys, tmp_path, argv, text, message):
+    p = tmp_path / "input.txt"
+    p.write_text(text)
+    assert main([*argv, str(p)]) == 1
+    out = capsys.readouterr()
+    assert out.out.count("\n") == 1 and out.err.startswith("error: ")
+    assert message in json.loads(out.out)["error"]
+
+
+def test_check_tw1_answers_a_length_12_code(capsys, tmp_path):
+    p = tmp_path / "rep12.code"
+    p.write_text("2 1 12\n" + " ".join(["1"] * 12) + "\n")
+    code, payload, _ = run(capsys, "check-tw1", str(p))
+    assert code == 0 and payload == {"tw_le_1": True, "witness": None}

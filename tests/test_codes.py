@@ -3,14 +3,15 @@ delete and contract), duality, invariance under monomial transforms,
 trellis-width, state profiles, and the catalog generators."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from matwidth import algebra
+from matwidth.cli import main
 from matwidth.codes import (
     FieldTooSmallForMDS,
-    LengthTooLarge,
     LinearCode,
     UnknownLabel,
     UnknownName,
@@ -18,7 +19,6 @@ from matwidth.codes import (
     code_from_text,
     code_to_text,
     trellis_width,
-    tw_le_1_check,
 )
 from matwidth.graph import complete_graph, cycle_matroid
 from matwidth.matroid import (
@@ -217,12 +217,10 @@ def test_tw_equals_tw_of_dual():
 
 
 def test_tw_of_an_oversized_code_is_refused_by_the_budget():
-    from matwidth.pathwidth import GroundSetTooLargeForExact
-
     # 25 distinct nonzero coordinates of GF(2)^5: a simple length-25 code
     cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, 26)]
     C = LinearCode(matrix(GF2, [[c[i] for c in cols] for i in range(5)]))
-    with pytest.raises(GroundSetTooLargeForExact, match="budget"):
+    with pytest.raises(GroundSetTooLarge, match="budget"):
         trellis_width(C)
     # the length alone is not refused: 25 repeated coordinates
     assert trellis_width(LinearCode(matrix(GF2, [[1] * 25]))).width == 1
@@ -360,26 +358,28 @@ def test_unknown_name():
 
 def test_tw1_repetition():
     C = LinearCode(matrix(GF2, [tuple([1] * 5)]))
-    ok, witness = tw_le_1_check(C)
+    ok, witness = pw_le_1_by_minors(C)
     assert ok and witness is None
 
 
 def test_tw1_mds42_witness_is_itself():
-    ok, witness = tw_le_1_check(catalog_code("MDS(4,2)", 3))
+    ok, witness = pw_le_1_by_minors(catalog_code("MDS(4,2)", 3))
     assert not ok
     assert witness.pattern_name == "U24"
-    assert witness.certificate.contract == frozenset() and witness.certificate.delete == frozenset()
+    assert witness.contract == frozenset() and witness.delete == frozenset()
 
 
 def test_tw1_ck4_witness():
-    ok, witness = tw_le_1_check(catalog_code("C_K4", 2))
+    ok, witness = pw_le_1_by_minors(catalog_code("C_K4", 2))
     assert not ok and witness.pattern_name == "MK4"
 
 
 def test_tw1_length_cap():
-    C = LinearCode(matrix(GF2, [tuple([1] * 11)]))
-    with pytest.raises(LengthTooLarge):
-        tw_le_1_check(C)
+    # the minor search's cap of 12 elements is the test's only cap
+    assert pw_le_1_by_minors(LinearCode(matrix(GF2, [tuple([1] * 12)]))) == (True, None)
+    C = LinearCode(matrix(GF2, [tuple([1] * 13)]))
+    with pytest.raises(GroundSetTooLarge, match="^13 > 12 elements for an exhaustive search$"):
+        pw_le_1_by_minors(C)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +427,19 @@ def test_puncture_and_shorten_read_tables_off_the_parent():
                 assert np.array_equal(S.rank_table(), fresh)
 
 
-def test_tw1_check_is_pw1_by_minors():
+def test_tw1_check_is_pw1_by_minors(tmp_path, capsys):
+    # check-tw1 prints pw_le_1_by_minors' answer and certificate, on codes
+    # up to the minor search's cap of 12 coordinates
     rng = np.random.default_rng(29)
+    path = tmp_path / "code.txt"
     for field in (GF2, GF3):
-        for n in (4, 6, 8, 10, 10):
-            rows = rng.integers(0, field.q, (n // 2, n)).tolist()
-            C = code(field, rows)
-            ok, witness = tw_le_1_check(C)
-            ok_m, cert = pw_le_1_by_minors(C)
-            assert ok == ok_m and (witness is None) == (cert is None)
-            if witness is not None:
-                assert witness.to_doc() == cert.to_doc()
+        for n in (4, 6, 8, 10, 12):
+            C = code(field, rng.integers(0, field.q, (n // 2, n)).tolist())
+            ok, cert = pw_le_1_by_minors(C)
+            path.write_text(code_to_text(C))
+            assert main(["check-tw1", str(path)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc == {"tw_le_1": ok, "witness": None if cert is None else cert.to_doc()}
 
 
 def test_code_past_64_coordinates_is_refused():

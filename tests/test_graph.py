@@ -12,7 +12,6 @@ from matwidth.graph import (
     NotADecomposition,
     NotAnUmbrella,
     PathDecomposition,
-    TooManyVertices,
     complete_graph,
     cycle_graph,
     cycle_matroid,
@@ -25,8 +24,9 @@ from matwidth.graph import (
     umbrella_ordering,
     validate_path_decomposition,
 )
-from matwidth.matroid import GroundSetTooLarge
-from matwidth.pathwidth import pathwidth_exact, width_of_ordering
+from matwidth.matroid import STATE_BYTES, GroundSetTooLarge, check_budget
+from matwidth.pathwidth import pathwidth_exact, prefix_dp, width_of_ordering
+from matwidth.verify import random_graph, rng_for
 from util import GF2, GF3, bag_search_pathwidth, connected_components, edgeless_graph, graphic_rank
 
 D = PathDecomposition
@@ -118,8 +118,57 @@ def test_parallel_edges_do_not_change_pathwidth():
 
 
 def test_vertex_cap():
-    with pytest.raises(TooManyVertices):
-        graph_pathwidth(edgeless_graph(17))
+    # the byte budget admits 2^25 states and refuses 2^26, before anything
+    # is allocated
+    check_budget(0, 1 << 25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroundSetTooLarge, match="budget"):
+            graph_pathwidth(edgeless_graph(26))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert graph_pathwidth(edgeless_graph(17))[0] == 0
+
+
+def _reference_pathwidth(G):
+    """graph_pathwidth as it was with one boundary block of 2^n masks, the
+    reference for the blocked build."""
+    n = G.vertex_count
+    adj = G.adjacency_masks()
+    masks = np.arange(1 << n, dtype=np.uint32)
+    boundary = np.zeros(1 << n, dtype=np.uint8)
+    for u in range(n):
+        in_s = (masks >> u) & 1
+        has_out = (masks & np.uint32(adj[u])) != np.uint32(adj[u])
+        boundary += (in_s & has_out).astype(np.uint8)
+    width, layout = prefix_dp(boundary, n, lambda v: v)
+    bags, placed = [], 0
+    for v in layout:
+        bags.append(frozenset({v} | {u for u in range(n) if (placed >> u) & 1 and adj[u] & ~placed}))
+        placed |= 1 << v
+    return width, D(tuple(bags))
+
+
+@pytest.mark.parametrize("n", [1, 5, 9, 12, 16])
+def test_graph_pathwidth_matches_the_single_block_reference(n):
+    rng = rng_for(n)
+    for edges in (n // 2, n, 2 * n):
+        G = random_graph(n, min(edges, n * (n - 1) // 2), rng)
+        assert graph_pathwidth(G) == _reference_pathwidth(G)
+
+
+def test_twenty_vertices_match_the_reference_within_the_state_allowance():
+    G = random_graph(20, 40, rng_for(20))
+    tracemalloc.start()
+    try:
+        got = graph_pathwidth(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _reference_pathwidth(G)
+    assert peak <= STATE_BYTES << 20
 
 
 # ---------------------------------------------------------------------------

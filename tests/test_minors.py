@@ -7,7 +7,6 @@ import pytest
 from matwidth.graph import cycle_matroid, make_umbrella
 from matwidth.matroid import GroundSetTooLarge, VectorMatroid, direct_sum, dual, is_isomorphic
 from matwidth.minors import (
-    HostTooLarge,
     MinorCertificate,
     UniformNotRepresentable,
     catalog_minor_witness,
@@ -152,7 +151,7 @@ def test_no_minor_when_pattern_larger():
 
 def test_host_cap():
     M = matroid(GF2, [[1] * 13])
-    with pytest.raises(HostTooLarge):
+    with pytest.raises(GroundSetTooLarge, match="^13 > 12 elements for an exhaustive search$"):
         minor_contains(M, matroid(GF2, [[1]]))
 
 
@@ -255,9 +254,12 @@ def test_direct_sum_with_k23_fails():
 
 
 def test_membership_cap():
-    M = matroid(GF2, [[1] * 11])
+    # the cap is the minor search's: 12 elements answer, 13 are refused
+    assert pw_le_1_by_minors(matroid(GF2, [[1] * 12])) == (True, None)
+    ok, cert = pw_le_1_by_minors(direct_sum(matroid(GF3, [[1] * 8]), u24()))
+    assert not ok and cert.pattern_name == "U24"
     with pytest.raises(GroundSetTooLarge):
-        pw_le_1_by_minors(M)
+        pw_le_1_by_minors(matroid(GF2, [[1] * 13]))
 
 
 def test_minor_search_matches_dependent_contract_brute_force():

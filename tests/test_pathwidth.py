@@ -9,12 +9,17 @@ import pytest
 
 from matwidth.algebra import identity_matrix, rank_of_columns
 from matwidth.graph import MultiGraph, complete_graph, cycle_graph, cycle_matroid
-from matwidth.matroid import GroundSetTooLarge, VectorMatroid, direct_sum, dual, label_key
-from matwidth.pathwidth import (
+from matwidth.matroid import (
     EXACT_BYTES,
     STATE_BYTES,
     TABLE_BYTES,
-    GroundSetTooLargeForExact,
+    GroundSetTooLarge,
+    VectorMatroid,
+    direct_sum,
+    dual,
+    label_key,
+)
+from matwidth.pathwidth import (
     LeafLabelMismatch,
     NotAPermutation,
     TooFewElements,
@@ -456,7 +461,7 @@ def test_a_simple_25_element_matroid_is_refused_before_any_backend_runs(monkeypa
     monkeypatch.setattr(VectorMatroid, "_sweep_rank_table", no_backend)
     with pytest.raises(GroundSetTooLarge, match="budget"):
         matroid(GF2, _simple_gf2_columns(25)).rank_table()
-    with pytest.raises(GroundSetTooLargeForExact, match="budget"):
+    with pytest.raises(GroundSetTooLarge, match="budget"):
         pathwidth_exact(matroid(GF2, _simple_gf2_columns(25)))
 
 
@@ -469,7 +474,7 @@ def test_exact_refuses_an_oversized_dp_before_allocating(monkeypatch):
         raise AssertionError("rank table built")
 
     monkeypatch.setattr(VectorMatroid, "rank_table", no_table)
-    with pytest.raises(GroundSetTooLargeForExact, match="budget"):
+    with pytest.raises(GroundSetTooLarge, match="budget"):
         pathwidth_exact(M)
 
 
@@ -477,6 +482,25 @@ def test_exact_budget_admits_every_simple_24_element_matroid():
     assert EXACT_BYTES >= (TABLE_BYTES + STATE_BYTES) * 2**24
     # 15 parallel pairs of K5's apex matroid: a 2^15 table and 3^15 states
     assert TABLE_BYTES * 2**15 + STATE_BYTES * 3**15 <= EXACT_BYTES
+
+
+def test_every_table_and_dp_is_refused_by_the_budget_before_allocating(monkeypatch):
+    # a 1 MB budget: a 2^20 table needs 6 MB and 2^20 graph states 4 MB
+    from matwidth import matroid as matroidmod
+    from matwidth.graph import graph_pathwidth, mk_graph
+
+    monkeypatch.setattr(matroidmod, "EXACT_BYTES", 2**20)
+    M = matroid(GF2, _simple_gf2_columns(20))
+    G = mk_graph(20, [(i, i + 1) for i in range(19)])
+    for refused in (M.rank_table, lambda: pathwidth_exact(M), lambda: graph_pathwidth(G)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroundSetTooLarge, match="over the budget of 1 MB$"):
+                refused()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_empty_and_singleton_matroids():

@@ -286,6 +286,20 @@ def test_reorder_never_increases_width():
         assert width_of_ordering(M, star).width <= width_of_ordering(M, pi).width
 
 
+def test_reorder_builds_the_table_exactly_when_the_budget_admits_it(monkeypatch):
+    from matwidth import matroid as matroidmod
+
+    A = add_apex(simplify_double(complete_graph(3)))
+    M = apex_matroid(A, GF2)
+    pi = random_normal(A, M, RNG(19))
+    # 12 elements: a 4,096-entry table needs 24,576 bytes
+    monkeypatch.setattr(matroidmod, "EXACT_BYTES", 6 * 4096 - 1)
+    without = reorder(A, M, pi)
+    assert M._rank_table is None
+    monkeypatch.setattr(matroidmod, "EXACT_BYTES", 6 * 4096)
+    assert reorder(A, M, pi) == without and M._rank_table is not None
+
+
 def test_reorder_block_shape_and_twin_alignment():
     A, M = apex_of(complete_graph(3))
     rng = RNG(17)
