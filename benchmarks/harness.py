@@ -15,11 +15,12 @@ set-up done before it is returned.  Per case and tree the JSON written to
 --out holds the best and all of REPEATS wall times, the child's peak RSS
 (`ru_maxrss`, which includes the interpreter and numpy), the tracemalloc
 peak in MB of one further run (taken apart from the timed runs, which it
-would slow) and the answer, which must agree between trees; and the
-machine.  A case is skipped, and recorded with the reason, when its first
-run takes longer than TIME_CAP seconds (an interval timer interrupts it;
-an interpreter still running after 4 * TIME_CAP is stopped), or when the
-runner returns a reason (a str) instead of a function.
+would slow) and the answer, which must agree between the trees that
+recorded one (`answers_agree`); and the machine.  A case is skipped, and
+recorded with the reason, when its first run takes longer than TIME_CAP
+seconds (an interval timer interrupts it; an interpreter still running
+after 4 * TIME_CAP is stopped), or when the runner returns a reason (a
+str) instead of a function.
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ def measure(script: str, src: str, args) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def answers_agree(results) -> bool:
+    """Whether the trees that recorded an answer for a case agree on it; a
+    tree that skipped the case recorded none."""
+    return len({json.dumps(r["answer"], sort_keys=True) for r in results if "answer" in r}) <= 1
+
+
 def main(script: str, doc: str, runner, cases, argv=None) -> int:
     """Run the benchmark script: cases lists (row, args) pairs, row the
     fields naming the case in the JSON, args its --one arguments."""
@@ -105,8 +112,7 @@ def main(script: str, doc: str, runner, cases, argv=None) -> int:
         row = dict(fields)
         for label, src in trees.items():
             row[label] = measure(script, src, one)
-        answers = {json.dumps(row[label].get("answer"), sort_keys=True) for label in trees}
-        row["answers_agree"] = len(answers) == 1
+        row["answers_agree"] = answers_agree([row[label] for label in trees])
         print(json.dumps({k: {m: v[m] for m in ("best_s", "peak_rss_mb", "tracemalloc_mb", "skipped")
                               if m in v} if k in trees else v for k, v in row.items()}), flush=True)
         results.append(row)

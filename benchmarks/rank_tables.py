@@ -1,20 +1,24 @@
-"""Per-field timings of the two rank-table backends.
+"""Per-field timings of the rank table, as the commands build it.
 
     python3 benchmarks/rank_tables.py --src before=../parent/src --src after=src --out BENCH.json
 
-Both backends (`VectorMatroid._count_rank_table` and `_sweep_rank_table`)
-of every tree are measured on every input below by the shared child
-harness (`harness.py`: best of 3 runs in a fresh interpreter per tree and
-input, the trees taking turns).  Inputs:
+`VectorMatroid.rank_table()` of every tree is measured on every input
+below by the shared child harness (`harness.py`: best of 3 runs in a
+fresh interpreter per tree and input, the trees taking turns).  One run
+builds the table of a fresh matroid max(1, 2^16 / 2^n) times and reports
+the mean, so that tables of a few hundred entries are timed over
+milliseconds.  Inputs, each a seeded [n, k] code over GF(q):
 
-- "grid": a seeded [n, n/2] code over GF(2), GF(3), GF(4), GF(5), GF(16),
-  GF(17) and GF(2^8), at n = 16, 20 and 24;
-- "crossover": seeded codes with q^m near COUNT_RATIO * 2^n = 4 * 2^n,
-  m = min(k, n - k), on both sides of the rule that picks the backend.
+- "grid": k = n/2 over GF(2), GF(3), GF(4), GF(5), GF(16), GF(17) and
+  GF(2^8), at n = 16, 20 and 24;
+- "crossover": codes with q^m near 4 * 2^n, m = min(k, n - k), the shapes
+  on both sides of the rule that once chose between counting codewords
+  and sweeping;
+- "small": the shapes of the minor search's tables, 6 to 10 elements over
+  GF(2), GF(3) and GF(4);
+- "low-rank": [20, 4] codes, whose q^4 codewords were cheap to count.
 
-Counting is skipped, and recorded with the reason, when it would
-enumerate more than WORD_CAP words (q^m).  The answer is the sum of the
-table, which must agree between trees.
+The answer is the sum of the table, which must agree between trees.
 """
 
 from __future__ import annotations
@@ -24,24 +28,24 @@ import time
 
 import harness
 
-WORD_CAP = 1 << 26
 GRID = [(q, n, n // 2) for n in (16, 20, 24) for q in (2, 3, 4, 5, 16, 17, 256)]
 CROSSOVER = [
     (256, 14, 2), (256, 15, 2), (64, 10, 2), (64, 11, 2), (16, 14, 4), (16, 13, 4),
     (8, 16, 6), (8, 14, 6), (5, 15, 7), (5, 13, 7), (17, 14, 4), (17, 16, 4),
 ]
+SMALL = [(3, 8, 4), (3, 9, 5), (3, 9, 8), (3, 10, 5), (3, 10, 6), (4, 6, 3), (4, 7, 3), (4, 10, 4),
+         (4, 10, 6), (2, 8, 4), (2, 10, 5)]
+LOW_RANK = [(q, 20, 4) for q in (3, 4, 5, 16)]
 
 
-def runner(q: str, n: str, k: str, backend: str):
-    """One backend on the seeded [n, k] code over GF(q)."""
+def runner(q: str, n: str, k: str):
+    """The rank table of the seeded [n, k] code over GF(q)."""
     import numpy as np
 
     from matwidth.algebra import GfMatrix, field_from_order
     from matwidth.matroid import VectorMatroid
 
     q, n, k = int(q), int(n), int(k)
-    if backend == "count" and q ** min(k, n - k) > WORD_CAP:
-        return f"q^m = {q}^{min(k, n - k)} > {WORD_CAP} words"
     field = field_from_order(q)
     rng = np.random.default_rng([q, n, k])
     while True:
@@ -49,19 +53,22 @@ def runner(q: str, n: str, k: str, backend: str):
         M = VectorMatroid(GfMatrix(field, rows, cols=n))
         if M.rank_full == k:
             break
-    build = getattr(M, f"_{backend}_rank_table")
+    builds = max(1, (1 << 16) >> n)
 
     def run():
         start = time.perf_counter()
-        table = build()
-        return time.perf_counter() - start, int(table.sum(dtype=np.int64))
+        for _ in range(builds):
+            M._rank_table = None
+            table = M.rank_table()
+        return (time.perf_counter() - start) / builds, int(table.sum(dtype=np.int64))
 
     return run
 
 
-CASES = [({"group": group, "q": q, "n": n, "k": k, "backend": backend}, (q, n, k, backend))
-         for group, inputs in (("grid", GRID), ("crossover", CROSSOVER))
-         for q, n, k in inputs for backend in ("count", "sweep")]
+CASES = [({"group": group, "q": q, "n": n, "k": k}, (q, n, k))
+         for group, inputs in (("grid", GRID), ("crossover", CROSSOVER), ("small", SMALL),
+                               ("low-rank", LOW_RANK))
+         for q, n, k in inputs]
 
 if __name__ == "__main__":
     sys.exit(harness.main(__file__, __doc__, runner, CASES))

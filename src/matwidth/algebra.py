@@ -324,7 +324,9 @@ def identity_matrix(field: FieldSpec, n: int) -> GfMatrix:
 # as row.index(1)) and zero at the pivots of the rows before it.  Every rank,
 # span and reduced form in the package is built from the two steps below, or
 # from their batched forms on numpy arrays: `reduce_batch`, the forward step
-# against one row per batch entry, and `unit_rows`.
+# against one row per batch entry, and `unit_rows`; over GF(2), GF(3) and
+# GF(4) the rank-table sweep takes the same step on bitsliced words
+# (`matroid._word_step`).
 # Subtracting c times a row y from x reads m = mul_table[-c] once and then
 # add_table[x][m[y]] per entry.
 
@@ -364,25 +366,27 @@ def echelon_push(field: FieldSpec, basis: list, v) -> None:
 def reduce_batch(field: FieldSpec, rows, leads, vs) -> np.ndarray:
     """`reduce_vector` against a one-row basis, for a batch of N of them.
 
-    rows (N, m) are uint8 rows that lead with 1 at leads (N,), as
-    `unit_rows` returns them; vs (N, L, m) holds L vectors per row.
-    Returns the (N, L, m) residues: each vector less c times its row, c its
-    entry at the row's lead, as add[x, mul[neg[c], y]] through flat table
-    gathers at uint16 indices (q^2 <= 65536)."""
+    rows (m, N) hold N uint8 rows down their columns, each leading with 1
+    at its entry leads (N,), as `unit_rows` returns them; vs (m, L, N)
+    holds L vectors per row, likewise.  Returns the (m, L, N) residues:
+    each vector less c times its row, c its entry at the row's lead, as
+    add[x, mul[neg[c], y]] through flat table gathers at uint16 indices
+    (q^2 <= 65536)."""
     q = np.uint16(field.q)
     add, mul = field.add_array.ravel(), field.mul_array.ravel()
-    c = vs[np.arange(len(vs)), :, leads, None]
-    step = mul[field.neg_array[c] * q + rows[:, None, :]]
+    c = np.take_along_axis(vs, leads[None, None], axis=0)
+    step = mul[field.neg_array[c] * q + rows[:, None]]
     idx = vs * q
     idx += step
     return add[idx]
 
 
 def unit_rows(field: FieldSpec, rows) -> tuple:
-    """`_unit_row` for a batch of nonzero uint8 rows: the rows scaled so
-    that each leads with 1, and the index of that 1 in each."""
-    lead = (rows != 0).argmax(axis=1)
-    c = rows[np.arange(len(rows)), lead, None]
+    """`_unit_row` for a batch of uint8 rows held down the columns of rows
+    (m, N): the rows scaled so that each leads with 1, and the index of
+    that 1 in each.  A zero row stays zero."""
+    lead = (rows != 0).argmax(axis=0)
+    c = np.take_along_axis(rows, lead[None], axis=0)
     return field.mul_array.ravel()[field.inv_array[c] * np.uint16(field.q) + rows], lead
 
 
@@ -422,26 +426,20 @@ def rref(A: GfMatrix) -> tuple:
     return GfMatrix(f, rows, cols=A.cols), tuple(row.index(1) for row in basis)
 
 
-def row_basis(A: GfMatrix) -> GfMatrix:
-    """The nonzero rows of rref(A): a full-row-rank matrix with A's row space."""
-    R, pivots = rref(A)
-    return GfMatrix(A.field, R.entries[: len(pivots)], cols=A.cols)
-
-
 def orthogonal_complement(A: GfMatrix) -> GfMatrix:
     """A full-row-rank generator of the orthogonal complement of A's row
     space, from R = rref(A): one row per free column f, 1 at f and
     -R[i][f] at the pivot column of row i."""
-    field = A.field
+    neg = A.field.neg_table
     R, pivots = rref(A)
     entries = []
     for f in sorted(set(range(A.cols)) - set(pivots)):
         row = [0] * A.cols
         row[f] = 1
-        for i, p in enumerate(pivots):
-            row[p] = field.neg(R.entries[i][f])
+        for r, p in zip(R.entries, pivots):
+            row[p] = neg[r[f]]
         entries.append(row)
-    return GfMatrix(field, entries, cols=A.cols)
+    return GfMatrix(A.field, entries, cols=A.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,15 @@ def cmd_verify(args) -> CommandResult:
         known = ", ".join(sorted(verify.THEOREMS))
         raise KeyError(f"unknown theorem {args.theorem!r} (known: {known})")
     fn, desc = verify.THEOREMS[args.theorem]
+    params = inspect.signature(fn).parameters
     kwargs = {key: getattr(args, key) for key in _VERIFY_FLAGS if getattr(args, key) is not None}
-    refused = [_VERIFY_FLAGS[key] for key in kwargs if key not in inspect.signature(fn).parameters]
+    # --q is the field of a suite that takes one as q, as qs or as field_q
+    if "q" in kwargs and "q" not in params:
+        if "qs" in params:
+            kwargs["qs"] = (kwargs.pop("q"),)
+        elif "field_q" in params:
+            kwargs["field_q"] = kwargs.pop("q")
+    refused = [_VERIFY_FLAGS[key] for key in kwargs if key not in params]
     if refused:
         raise ValueError(f"verify {args.theorem} does not take {', '.join(refused)}")
     if kwargs.get("samples", 0) < 0:

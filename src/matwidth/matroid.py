@@ -14,51 +14,49 @@ graph DP no more than 2^25 states.  The exhaustive searches (isomorphism
 and the minor search) share ISO_MAX_GROUND = 12 elements, which `bits(n)`
 needs.  Ground sets are bitmasks of at most MAX_GROUND = 64 elements.
 
-Both backends build the table of N, the column matroid of an m x n
+`rank_table` builds the table of N, the column matroid of an m x n
 generator: of the row space C (dimension k) when k <= n - k, else of its
-dual C-perp (from `algebra.orthogonal_complement`), so m = min(k, n - k).
-N is M itself on the first route; on the second r_M(S) = |S| + r_N(E - S)
-- m, applied once to N's table.
+dual C-perp (from `algebra.orthogonal_complement`), so m = min(k, n - k)
+<= 12 within the budget.  N is M itself on the first route; on the
+second r_M(S) = |S| + r_N(E - S) - m, applied once to N's table.  For a
+code, m - r_N(S) is the paper's trellis state dimension at a cut.
 
-Counting reads N's table off codeword supports.  The words of the row
-space of the generator vanishing on S form a subspace of dimension
-m - r_N(S) (the paper's trellis state dimension k - dim C_past - dim
-C_future is this number at a cut), so
+The table is swept: batches of residues are doubled one element at a
+time.  Each subset S of elements 0..i-1 carries the residues of columns
+i..a-1 modulo span(S), zero exactly on the columns S spans: the rank
+grows by one wherever column i's residue (the head) is nonzero, the
+subsets without i keep the later residues, and those with i get them with
+the head pivoted out, one batched one-row step per column, a constant
+number of numpy calls.  A zero head leaves the residues unchanged, so
+every subset takes the step and none is selected.  Only the encoding of a
+residue and the step depend on the field (`_encode`, `_word_step`,
+`_byte_step`):
 
-    r_N(S) = m - log_q #{c : supp(c) and S disjoint}.
+- GF(2): one uint16 word, bit j the entry j; the step XORs the head into
+  the residues that have its lowest bit.
+- GF(3): two uint16 planes, of the entries 1 and of the entries 2; the
+  head, scaled to lead with 1, is subtracted once or twice with the
+  bitsliced GF(3) sum (after Boothby and Bradshaw, "Bitslicing and the
+  Method of Four Russians over larger finite fields").
+- GF(4): two uint16 planes, of the coefficients of 1 and of x in
+  c0 + c1 x, with x^2 = x + 1; the step is XOR, as over GF(2), of the
+  head scaled by the residue's entry over the head's.
+- every other field: one byte an entry, the head scaled by
+  `algebra.unit_rows` and pivoted out by `algebra.reduce_batch`.
 
-One pass over the q^m words counts each support T in a uint32 array f;
-one subset-sum (Yates / zeta) transform, n in-place passes, turns f[T] into
-the number of words supported inside T; the exponent J = log_q f is read
-with m integer comparisons J += (f >= q^j), no float; and r_N(S) =
-m - J[E - S], the table reversed.  The working set is about TABLE_BYTES
-= 6 bytes per table entry.
-
-The sweep doubles batches of residues one element at a time.  Each
-subset S of elements 0..i-1 carries the residues of columns i..a-1 modulo
-span(S), zero exactly on the columns S spans: the rank grows by one
-wherever column i's residue is nonzero, the subsets without i keep the
-later residues, and those that grew pivot column i's residue, scaled to
-lead with 1 (`algebra.unit_rows`), out of them with one batched one-row
-step (`algebra.reduce_batch`), a constant number of numpy calls per
-column.  Only the low a = min(n, 16) elements are doubled, so at most
+Only the low a = min(n, 16) elements are doubled, so at most
 CHUNK_WORDS = 2^16 subsets are in flight, with at most 2^(a-1) residues
-of m bytes, m <= n/2; each subset H of the other n - a elements seeds one
+after a step; each subset H of the other n - a elements seeds one
 doubling with the low columns reduced modulo span(H) and fills the block
-[H * 2^a, (H + 1) * 2^a).  The working set is the uint8 table plus one
-block of residues: tracemalloc peaks 1.0 MB over the 1 MB table for a
-[20, 8] code over GF(2), 1.3 MB over it for a [20, 8] code over GF(17).
-
-The sweep runs when q^m > COUNT_RATIO * 2^n (COUNT_RATIO = 4): a rule on
-q, n and k only (`table_backend`).  Against the vectorised sweep no
-single ratio is the crossover for every m (BENCH_6.json): at ratio 4
-counting took from 0.4 to 2.3 times as long as the sweep, the worst case
-being rank 2 over GF(256), while at ratio 5.1 it still won for rank 4
-over GF(17).  A rule on (q, n, m) is left open.
+[H * 2^a, (H + 1) * 2^a).  The working set is the uint8 table plus the
+residues of one block: tracemalloc peaks 0.3 MB over the 1 MB table for
+a [20, 8] code over GF(2), 0.8 MB over it over GF(4) and 0.6 MB over it
+for a [20, 3] code over GF(17).
 
 All elimination (spans, ranks, the contraction in `apply_minor`) is the
 kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step
-and their batched forms `reduce_batch` / `unit_rows` for the sweep.
+and their batched forms `reduce_batch` / `unit_rows` for the byte sweep;
+the word steps are its bitsliced forms, checked against `reduce_vector`.
 `apply_minor` builds a new matrix for callers that need a matroid, and
 when the parent holds a rank table it reads the minor's table off it by
 r_{M/X\\Y}(S) = r_M(S + X) - r_M(X) instead of building one.  The minor
@@ -91,18 +89,16 @@ MAX_GROUND = 64
 # the exhaustive searches' one cap: isomorphism and the minor search
 ISO_MAX_GROUND = 12
 # the exact solvers' one memory rule (`check_budget`): TABLE_BYTES per
-# rank-table entry (the counting backend's uint32 counts, exponent and
-# temporary) and STATE_BYTES per DP state (lambda or vertex boundary, B
-# and its padding, chunk buffers), within EXACT_BYTES, what a simple
-# 24-element matroid needs
+# rank-table entry and STATE_BYTES per DP state (lambda or vertex
+# boundary, B and its padding, chunk buffers), within EXACT_BYTES, what a
+# simple 24-element matroid needs.  A swept table holds about 3 bytes an
+# entry at its peak (the uint8 table, the dual route's reversed copy and
+# the DP's lambda table); TABLE_BYTES stays at the 6 that codeword counting
+# needed, so that every input refused before is refused now
 TABLE_BYTES, STATE_BYTES = 6, 4
 EXACT_BYTES = (TABLE_BYTES + STATE_BYTES) << 24
-# rank tables are counted from codeword supports while q^min(k, n - k) is at
-# most COUNT_RATIO * 2^n, and swept otherwise; words are counted in chunks
-# of at most CHUNK_WORDS, and the sweep doubles at most CHUNK_WORDS subsets
-COUNT_RATIO = 4
+# the sweep doubles at most CHUNK_WORDS subsets at a time
 CHUNK_WORDS = 1 << 16
-_PACK_BYTES = np.uint64(0x0102040810204080)
 
 
 class GroundSetTooLarge(ValueError):
@@ -251,42 +247,38 @@ class VectorMatroid:
     # -- full rank table -------------------------------------------------------
 
     def rank_table(self) -> np.ndarray:
-        """Ranks of all 2^n subsets (uint8, indexed by mask), built by the
-        backend that `table_backend` names for this matroid.  Refuses by
-        `check_budget` before building anything."""
+        """Ranks of all 2^n subsets (uint8, indexed by mask), swept
+        (module docstring).  Refuses by `check_budget` before building
+        anything."""
         if self._rank_table is None:
-            n = self.size
-            check_budget(1 << n)
-            if table_backend(self.field.q, n, self.rank_full) == "count":
-                table = self._count_rank_table()
-            else:
-                table = self._sweep_rank_table()
+            check_budget(1 << self.size)
+            table = self._table_from(_sweep_ranks)
             table.flags.writeable = False
             self._rank_table = table
         return self._rank_table
 
-    def _count_rank_table(self) -> np.ndarray:
-        """The table from codeword supports (module docstring)."""
-        return self._table_from(_count_ranks)
-
-    def _sweep_rank_table(self) -> np.ndarray:
-        """The table from the doubling sweep (module docstring)."""
-        return self._table_from(_sweep_ranks)
-
     def _table_from(self, column_ranks) -> np.ndarray:
         """M's table from the table that column_ranks(field, gens) builds for
-        N, the column matroid of an m x n generator: of the row space when
-        k <= n - k, of its complement otherwise, so m = min(k, n - k)."""
+        N, the column matroid of an m x n generator: an echelon basis of the
+        row space when k <= n - k, a basis of its complement otherwise, so
+        m = min(k, n - k)."""
         n, k = self.size, self.rank_full
         dual = k > n - k
-        gen = algebra.orthogonal_complement(self.matrix) if dual else algebra.row_basis(self.matrix)
-        table = column_ranks(self.field, np.array(gen.entries, dtype=np.uint8).reshape(gen.rows, n))
         if dual:
-            # r_M(S) = |S| + r_N(E - S) - m, |S| added one element at a time
+            gen = algebra.orthogonal_complement(self.matrix).entries
+        else:
+            gen = []
+            for row in self.matrix.entries:
+                algebra.echelon_push(self.field, gen, row)
+        table = column_ranks(self.field, np.array(gen, dtype=np.uint8).reshape(len(gen), n))
+        if dual:
+            # r_M(S) = |S| + r_N(E - S) - m, |S| the popcounts of its low
+            # and its high half
             table = table[::-1].copy()
-            for i in range(n):
-                table.reshape(-1, 2, 1 << i)[:, 1, :] += 1
-            table -= gen.rows
+            halves = table.reshape(1 << (n - n // 2), 1 << n // 2)
+            halves += np.bitwise_count(np.arange(1 << n // 2))
+            halves += np.bitwise_count(np.arange(1 << (n - n // 2)))[:, None]
+            table -= len(gen)
         return table
 
     def __repr__(self):
@@ -305,74 +297,6 @@ def check_budget(table_entries: int, states: int = 0) -> None:
             f"{need / 1e6:.0f} MB, over the budget of {EXACT_BYTES / 1e6:.0f} MB")
 
 
-def table_backend(q: int, n: int, k: int) -> str:
-    """The rank-table backend for a rank-k matroid on n elements over GF(q):
-    "count" when the smaller of the row space and its complement has at
-    most COUNT_RATIO * 2^n words (q^min(k, n - k) of them), else "sweep"."""
-    return "sweep" if q ** min(k, n - k) > COUNT_RATIO << n else "count"
-
-
-def _span_words(field, gens: np.ndarray) -> np.ndarray:
-    """All q^d linear combinations of the d rows of gens, one word a row."""
-    add, mul = field.add_array, field.mul_array
-    words = np.zeros((1, gens.shape[1]), dtype=np.uint8)
-    for g in gens:
-        words = add[mul[:, g][:, None, :], words[None, :, :]].reshape(-1, gens.shape[1])
-    return words
-
-
-def _count_ranks(field, gens: np.ndarray) -> np.ndarray:
-    """r(S) = m - J[E - S] for the column matroid of m independent rows
-    gens, J = log_q of the words of their span supported inside a set."""
-    m, n = gens.shape
-    # f[T] = words supported inside T, after the subset-sum transform
-    f = _support_counts(field, gens)
-    for i in range(n):
-        v = f.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
-    # J = log_q f, exact: f is a power of q no larger than q^m
-    J = np.zeros(1 << n, dtype=np.uint8)
-    for j in range(1, m + 1):
-        J += f >= field.q**j
-    del f
-    return m - J[::-1]
-
-
-def _support_counts(field, gens: np.ndarray) -> np.ndarray:
-    """f[T] = the number of words with support T in the row space of the
-    linearly independent rows of gens (uint32; q^rows < 2^32 words).
-
-    The span is split into an inner part of at most CHUNK_WORDS words and
-    an outer part; each outer word h gives one chunk, the supports of
-    inner - h, which are the coordinates where inner differs from h.
-    Running h over the outer span runs -h over it too, so every word of
-    the row space is counted once."""
-    rows, n = gens.shape
-    d = 0
-    while d < rows and field.q ** (d + 1) <= CHUNK_WORDS:
-        d += 1
-    groups = (n + 7) // 8
-    # coordinates padded to whole bytes of the mask; the padding never differs
-    inner = np.zeros((field.q**d, 8 * groups), dtype=np.uint8)
-    inner[:, :n] = _span_words(field, gens[:d])
-    outer = np.zeros(8 * groups, dtype=np.uint8)
-    f = np.zeros(1 << n, dtype=np.uint32)
-    flags = np.empty(inner.shape, dtype=bool)
-    packed = flags.view(np.uint64)
-    masks = np.zeros((len(inner), 4), dtype=np.uint8)
-    for h in _span_words(field, gens[d:]):
-        outer[:n] = h
-        np.not_equal(inner, outer, out=flags)
-        # 8 bytes of 0/1 flags times _PACK_BYTES carry the flags, one a bit,
-        # to the top byte of the product
-        packed *= _PACK_BYTES
-        packed >>= np.uint64(56)
-        masks[:, :groups] = packed
-        words, counts = np.unique(masks.view("<u4")[:, 0], return_counts=True)
-        f[words] += counts.astype(np.uint32)
-    return f
-
-
 def _sweep_ranks(field, gens: np.ndarray) -> np.ndarray:
     """The ranks of every subset of the columns of gens (m x n), doubled
     over the low a = min(n, log2 CHUNK_WORDS) columns; each subset H of the
@@ -384,37 +308,100 @@ def _sweep_ranks(field, gens: np.ndarray) -> np.ndarray:
         return table
     cols = np.ascontiguousarray(gens.T)
     a = min(n, CHUNK_WORDS.bit_length() - 1)
-    low = cols[:a].tolist()
     for high in range(1 << (n - a)):
         basis = []
         for i in _bit_positions(high):
             algebra.echelon_push(field, basis, cols[a + i].tolist())
-        seed = np.array([algebra.reduce_vector(field, basis, col) for col in low], dtype=np.uint8)
+        seed = cols[:a]
+        if basis:
+            seed = np.array([algebra.reduce_vector(field, basis, col) for col in seed.tolist()], dtype=np.uint8)
         _double(field, seed, len(basis), table[high << a : (high + 1) << a])
     return table
 
 
-def _double(field, res: np.ndarray, rank: int, out: np.ndarray) -> None:
-    """out[S] = rank + dim span(the rows of res (a x m) in S), for every
+def _double(field, seed: np.ndarray, rank: int, out: np.ndarray) -> None:
+    """out[S] = rank + dim span(the rows of seed (a x m) in S), for every
     subset S of its rows.  Each subset S of rows 0..i-1 carries the residues
     of rows i..a-1 modulo span(S), zero exactly on the rows that S spans:
-    the rank grows where row i's residue is nonzero, the subsets without i
-    keep the rest, and those that grew pivot row i's residue, scaled to
-    lead with 1, out of the rest (`algebra.reduce_batch`).  At most
-    2^(i+1) (a - i - 1) <= 2^(a-1) residues of m bytes are held."""
-    a = len(res)
-    res = res[None]
+    the rank grows where row i's residue (the head) is nonzero, the subsets
+    without i keep the rest, and those with i get the rest with the head
+    pivoted out by the field's step, which leaves the rest unchanged where
+    the head is zero.  res[plane, row, subset] holds them (`_encode`), at
+    most 2^(i+1) (a - i - 1) <= 2^(a-1) residues after step i."""
+    a = len(seed)
+    res = _encode(field, seed)[:, :, None]
+    step = _word_step if res.dtype == np.uint16 else _byte_step
     out[0] = rank
     for i in range(a):
-        head = res[:, 0]
-        grew = head.any(axis=1)
-        out[1 << i : 2 << i] = out[: 1 << i] + grew
-        if i + 1 == a:
-            break
-        s = np.flatnonzero(grew)
-        rows, lead = algebra.unit_rows(field, head[s])
-        res = np.concatenate([res[:, 1:], res[:, 1:]])
-        res[(1 << i) + s] = algebra.reduce_batch(field, rows, lead, res[s])
+        b = 1 << i
+        np.add(out[:b], res[:, 0].any(axis=0), out=out[b : 2 * b])
+        if i + 1 < a:
+            grown = np.empty((len(res), a - i - 1, 2 * b), dtype=res.dtype)
+            grown[:, :, :b] = res[:, 1:]
+            step(field, res, grown[:, :, b:])
+            res = grown
+
+
+def _encode(field, rows: np.ndarray) -> np.ndarray:
+    """Vectors rows (a x m, uint8) as planes x[plane, row].  Over GF(2),
+    GF(3) and GF(4) plane k is a uint16 word whose bit j is bit k of entry
+    j: one plane over GF(2); over GF(3) plane 0 marks the entries 1 and
+    plane 1 the entries 2; over GF(4), whose element c0 + c1 x (x^2 = x +
+    1) has code c0 + 2 c1, plane k holds the ck.  Over any other field
+    plane j is entry j, one byte."""
+    if field.q > 4:
+        return rows.T
+    planes = np.arange((field.q - 1).bit_length(), dtype=np.uint8)[:, None, None]
+    return (rows >> planes & 1) @ (np.uint16(1) << np.arange(rows.shape[1], dtype=np.uint16))
+
+
+def _word_step(field, res, out) -> None:
+    """out = the residues res[:, 1:] less their components along the head
+    res[:, 0], on word planes (P, R + 1, N): a head and R residues for each
+    of N subsets.  The pivot is the lowest bit p set in a plane of the
+    head, where the head's entry is c, and a residue whose entry there is e
+    adds -(e / c) * head.  Over GF(3) and GF(4) e is the sum of the e_k
+    whose plane k holds p (e_0 = 1, e_1 = 2 or x), so the residue adds g
+    for plane 0 and e_1 g for plane 1, g = -head / c.  A zero head has p =
+    0, and nothing is added."""
+    head, rest = res[:, 0], res[:, 1:]
+    low = head[0] | head[-1]
+    p = low & -low
+    bits = (res & p).astype(bool)
+    c, hits = bits[:, 0], bits[:, 1:]
+    if field.q == 2:
+        np.bitwise_xor(rest, hits * head[:, None], out=out)
+        return
+    if field.q == 3:
+        # g = -head where c = 1 (-1 swaps the planes), head where c = 2;
+        # 2g = -g
+        g = head ^ c[0] * (head[0] ^ head[1])
+        eg = g[::-1]
+    else:
+        # g = head / c = c^2 head = c0 head + c1 x^2 head (c^3 = 1), and x
+        # (h0, h1) = (h1, h0 + h1): the planes of (h, xh) and (x^2 h, h) are
+        # the windows [1:] and [:3] of (h0 + h1, h0, h1, h0 + h1)
+        seq = head[[0, 0, 1, 0]]
+        seq[::3] ^= head[1]
+        a = c[0] * seq[1:] ^ c[1] * seq[:3]
+        g, eg = a[:2], a[1:]
+    w = hits[0] * g[:, None] ^ hits[1] * eg[:, None]
+    if field.q == 4:
+        np.bitwise_xor(rest, w, out=out)
+    else:
+        # the GF(3) sum of planes (ones, twos): with t = (r1 | w2) ^ (r2 |
+        # w1), its ones are (r2 | w2) ^ t and its twos (r1 | w1) ^ t
+        either = rest | w
+        cross = rest | w[::-1]
+        np.bitwise_xor(either[::-1], cross[0] ^ cross[1], out=out)
+
+
+def _byte_step(field, res, out) -> None:
+    """`_word_step` on byte planes (m, R + 1, N): the head scaled to lead
+    with 1 (`algebra.unit_rows`; a zero head stays zero) and one batched
+    one-row step (`algebra.reduce_batch`)."""
+    rows, lead = algebra.unit_rows(field, res[:, 0])
+    out[...] = algebra.reduce_batch(field, rows, lead, res[:, 1:])
 
 
 def _bit_positions(mask: int):

@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALLEST = {
-    "rank_tables.py": ("64", "10", "2", "count"),
+    "rank_tables.py": ("64", "10", "2"),
     "prefix_dp.py": ("apex", "P6"),
     "minor_search.py": ("minor", "W5:U24"),
     "cli_ops.py": ("reduce-verify", "1", "0"),
@@ -46,3 +46,17 @@ def _run_child(script, args):
     assert "skipped" not in result
     assert len(result["runs"]) == 3 and result["best_s"] == min(result["runs"])
     assert result["tracemalloc_mb"] > 0 and "answer" in result
+
+
+def test_a_skipped_tree_does_not_read_as_a_disagreement():
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        from harness import answers_agree
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
+    ran = {"best_s": 0.1, "answer": [3, 4]}
+    skipped = {"skipped": "first run > 120 s"}
+    assert answers_agree([skipped, ran])
+    assert answers_agree([ran, dict(ran), skipped])
+    assert answers_agree([skipped, skipped])
+    assert not answers_agree([ran, {"best_s": 0.2, "answer": [3, 5]}, skipped])

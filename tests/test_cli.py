@@ -240,8 +240,8 @@ def test_unknown_theorem_is_error(capsys):
     assert "unknown theorem" in payload["error"]
 
 
-@pytest.mark.parametrize("argv", [("duality", "--q", "5"), ("reduction", "--samples", "2")],
-                         ids=["duality-q", "reduction-samples"])
+@pytest.mark.parametrize("argv", [("excluded-w2", "--q", "5"), ("reduction", "--samples", "2")],
+                         ids=["excluded-w2-q", "reduction-samples"])
 def test_verify_refuses_a_flag_the_suite_does_not_take(capsys, argv):
     code, payload, _ = run(capsys, "verify", *argv)
     assert code == 1
@@ -304,6 +304,21 @@ def test_verify_suites_build_the_field_of_each_order(suite, kwargs, q):
     field = "qs" if "qs" in inspect.signature(suite).parameters else "field_q"
     report = suite(**kwargs, **{field: (q,) if field == "qs" else q})
     assert report["ok"] and report["checked"] > 0
+
+
+@pytest.mark.parametrize("argv,param", [
+    (("duality", "--q", "4", "--samples", "5"), "qs"),
+    (("tw1-codes", "--q", "9", "--samples", "3"), "qs"),
+    (("reduction", "--q", "3"), "field"),
+], ids=["duality", "tw1-codes", "reduction"])
+def test_verify_q_reaches_every_suite_that_takes_a_field(capsys, argv, param):
+    # --q is qs = (q,) for the qs suites and field_q = q for the others;
+    # duality over GF(4) runs the GF(4) word step of the rank table
+    code, payload, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert payload["ok"] is True and payload["checked"] > 0
+    q = int(argv[2])
+    assert payload["params"][param] == ([q] if param == "qs" else q)
 
 
 def test_verify_p1q_non_prime_power_is_error(capsys):

@@ -8,7 +8,6 @@ import json
 import numpy as np
 import pytest
 
-from matwidth import algebra
 from matwidth.cli import main
 from matwidth.codes import (
     FieldTooSmallForMDS,
@@ -24,7 +23,6 @@ from matwidth.graph import complete_graph, cycle_matroid
 from matwidth.matroid import (
     GroundSetTooLarge,
     VectorMatroid,
-    _span_words,
     contract,
     delete,
     dual,
@@ -36,10 +34,7 @@ from util import (
     GF2,
     GF3,
     GF5,
-    REF_FIELDS,
     matrix,
-    ref_random_rows,
-    ref_row_space,
     same_row_space,
     uniform_check,
 )
@@ -255,26 +250,6 @@ def monomial(C, perm, diag) -> LinearCode:
         for r, row in enumerate(C.generator.entries):
             entries[r][perm[i]] = field.mul(diag[i], row[i])
     return code(field, entries)
-
-
-@pytest.mark.parametrize("field,m_max", REF_FIELDS, ids=lambda x: str(x))
-def test_weight_enumerator_matches_row_space(field, m_max):
-    # the span words of a row basis are the row space, each word once
-    rng = np.random.default_rng(field.q + 1)
-    for m in range(m_max + 1):
-        n = int(rng.integers(1, 7))
-        rows = ref_random_rows(field, m, n, rng)
-        basis = algebra.row_basis(algebra.GfMatrix(field, rows, cols=n))
-        gens = np.array(basis.entries, dtype=np.uint8).reshape(basis.rows, n)
-        words = _span_words(field, gens)
-        space = ref_row_space(field, rows, n)
-        assert len(words) == len(space) == len({w.tobytes() for w in words})
-        assert {tuple(int(x) for x in w) for w in words} == space
-        counts = [0] * (n + 1)
-        for word in space:
-            counts[sum(1 for x in word if x)] += 1
-        weights = np.count_nonzero(words, axis=1)
-        assert np.bincount(weights, minlength=n + 1).tolist() == counts
 
 
 def test_equivalent_codes_have_isomorphic_matroids():

@@ -454,11 +454,12 @@ def _simple_gf2_columns(n):
 
 
 def test_a_simple_25_element_matroid_is_refused_before_any_backend_runs(monkeypatch):
-    def no_backend(self):
+    from matwidth import matroid as matroidmod
+
+    def no_backend(field, gens):
         raise AssertionError("rank-table backend ran")
 
-    monkeypatch.setattr(VectorMatroid, "_count_rank_table", no_backend)
-    monkeypatch.setattr(VectorMatroid, "_sweep_rank_table", no_backend)
+    monkeypatch.setattr(matroidmod, "_sweep_ranks", no_backend)
     with pytest.raises(GroundSetTooLarge, match="budget"):
         matroid(GF2, _simple_gf2_columns(25)).rank_table()
     with pytest.raises(GroundSetTooLarge, match="budget"):

@@ -1,25 +1,32 @@
-"""The two rank-table backends: codeword-support counting and the span sweep.
+"""The rank table: the residue sweep against per-subset elimination.
 
-Both are compared with per-subset elimination (`rank_of_columns`) and, for
-n <= 8, with the reference ranks of `util`, on seeded matrices over every
-field family; past 16 elements, where the sweep runs one doubling per
-subset of the high elements, the counted table is the reference, and
-elimination on seeded masks of every block.  The selection rule is
-checked on both sides of its threshold.
+Every table is compared with per-subset elimination (`rank_of_columns`)
+and, for n <= 8, with the reference ranks of `util`, on seeded matrices
+over every field family, both encodings of a residue (word planes over
+GF(2), GF(3) and GF(4), bytes otherwise) and both routes (the code itself
+when k <= n - k, its dual otherwise).  Past 16 elements, where the sweep
+runs one doubling per subset of the high elements, elimination is checked
+on seeded masks of every block.  Each one-row step is checked against
+`reduce_vector`.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matwidth import field_new
 from matwidth.algebra import (GfMatrix, identity_matrix, rank_of_columns, reduce_batch,
                               reduce_vector, unit_rows)
-from matwidth.matroid import CHUNK_WORDS, VectorMatroid, _sweep_ranks, table_backend
+from matwidth.matroid import CHUNK_WORDS, VectorMatroid, _encode, _sweep_ranks, _word_step
 from matwidth.pathwidth import pathwidth_exact
-from util import (GF2, GF3, GF4, GF5, GF243, GF256, REF_FIELDS, matroid, ref_random_rows,
+from util import (GF2, GF3, GF4, GF5, GF256, REF_FIELDS, matroid, ref_random_rows,
                   ref_rank_table)
+
+GF16 = field_new(2, 4)
+GF17 = field_new(17)
 
 
 def elimination_table(M) -> list:
@@ -28,10 +35,12 @@ def elimination_table(M) -> list:
             for S in range(1 << M.size)]
 
 
-def check_both_backends(M, rows=None):
+def check_table(M, rows=None):
+    """M's rank table, checked against elimination on every subset."""
     expect = elimination_table(M)
-    assert M._count_rank_table().tolist() == expect
-    assert M._sweep_rank_table().tolist() == expect
+    table = M.rank_table()
+    assert table.dtype == np.uint8 and not table.flags.writeable
+    assert table.tolist() == expect
     if rows is not None and M.size <= 8 and M.field.q ** M.rank_full <= 1 << 16:
         assert ref_rank_table(M.field, rows, M.size) == expect
     return expect
@@ -39,18 +48,20 @@ def check_both_backends(M, rows=None):
 
 @pytest.mark.parametrize("field", [f for f, _ in REF_FIELDS], ids=str)
 def test_both_backends_match_elimination(field):
-    # (n, rows): the code itself is enumerated when r <= n/2, its dual
-    # otherwise; rows may be dependent, so the rank can fall below the count
+    # REF_FIELDS hold residues as word planes (GF(2), GF(3), GF(4)) and as
+    # bytes (GF(5), GF(3^5), GF(2^8)); (n, rows): the code itself is swept
+    # when r <= n/2, its dual otherwise; rows may be dependent, so the rank
+    # can fall below the count
     if field.q < 16:
-        sizes = [(4, 1), (6, 2), (7, 3), (8, 4), (8, 6), (9, 7), (6, 6), (9, 9)]
+        sizes = [(4, 1), (6, 2), (7, 3), (8, 4), (8, 6), (9, 7), (6, 6), (9, 9), (12, 5), (12, 8)]
     else:
-        sizes = [(4, 1), (5, 2), (6, 1), (5, 4), (6, 5), (4, 4)]
+        sizes = [(4, 1), (5, 2), (6, 1), (5, 4), (6, 5), (4, 4), (12, 3), (12, 10)]
     rng = np.random.default_rng(500 + field.q)
     routes = set()
     for n, m in sizes:
         rows = ref_random_rows(field, m, n, rng)
         M = VectorMatroid(GfMatrix(field, rows, cols=n))
-        check_both_backends(M, rows)
+        check_table(M, rows)
         routes.add(M.rank_full <= n - M.rank_full)
     assert routes == {True, False}
 
@@ -59,30 +70,30 @@ def test_both_backends_match_elimination(field):
 def test_backends_on_degenerate_matrices(field):
     n = 5
     empty = VectorMatroid(GfMatrix(field, [], cols=0))
-    assert check_both_backends(empty) == [0]
+    assert check_table(empty) == [0]
     # rank 0: no rows, and rows that are all zero
-    assert check_both_backends(VectorMatroid(GfMatrix(field, [], cols=n))) == [0] * (1 << n)
+    assert check_table(VectorMatroid(GfMatrix(field, [], cols=n))) == [0] * (1 << n)
     zeros = [[0] * n, [0] * n]
-    assert check_both_backends(matroid(field, zeros), zeros) == [0] * (1 << n)
+    assert check_table(matroid(field, zeros), zeros) == [0] * (1 << n)
     # rank n, the free matroid, with a repeated row
     free = list(identity_matrix(field, n).entries)
-    table = check_both_backends(matroid(field, free + free[:1]), free + free[:1])
+    table = check_table(matroid(field, free + free[:1]), free + free[:1])
     assert table == [bin(S).count("1") for S in range(1 << n)]
     # dependent rows: a row repeated and a row that is a sum of two others
     rows = [[1, 2 % field.q, 0, 1, 1], [0, 1, 1, 0, 1]]
     rows += [rows[0], [field.add(x, y) for x, y in zip(*rows)]]
     assert matroid(field, rows).rank_full == 2
-    check_both_backends(matroid(field, rows), rows)
+    check_table(matroid(field, rows), rows)
 
 
 def test_counting_across_several_chunks():
-    # more words than one chunk holds, by the code itself and by its dual
-    GF17 = field_new(17)
+    # a byte field with far more than CHUNK_WORDS words in the code and in
+    # its dual: the sweep never enumerates them
     rng = np.random.default_rng(17)
     for n, k in ((8, 4), (9, 5)):
         M = matroid(GF17, rank_k_rows(GF17, n, k, rng))
         assert GF17.q ** min(k, n - k) > CHUNK_WORDS
-        check_both_backends(M)
+        check_table(M)
 
 
 def rank_k_rows(field, n, k, rng):
@@ -91,55 +102,6 @@ def rank_k_rows(field, n, k, rng):
         rows = [[int(x) for x in rng.integers(0, field.q, n)] for _ in range(k)]
         if rank_of_columns(field, rows) == k:
             return rows
-
-
-def test_rank_table_picks_the_documented_backend(monkeypatch):
-    picked = []
-    for name in ("_count_rank_table", "_sweep_rank_table"):
-        real = getattr(VectorMatroid, name)
-        monkeypatch.setattr(VectorMatroid, name,
-                            lambda self, real=real, name=name: picked.append(name) or real(self))
-    rng = np.random.default_rng(7)
-    # (field, n, k, backend): q^min(k, n - k) against COUNT_RATIO * 2^n, on
-    # both sides of the threshold and from either end of the rank range
-    cases = [
-        (GF256, 6, 1, "count"),  # 256 = 4 * 2^6, the threshold itself
-        (GF256, 6, 2, "sweep"),  # 2^16 > 2^8
-        (GF256, 6, 5, "count"),  # the dual has 256 words
-        (GF256, 6, 4, "sweep"),
-        (GF243, 6, 1, "count"),  # 243 < 256
-        (GF243, 6, 2, "sweep"),  # 59049 > 256
-        (GF2, 8, 4, "count"),  # 16 <= 1024: binary codes are always counted
-    ]
-    for field, n, k, backend in cases:
-        rows = rank_k_rows(field, n, k, rng)
-        M = matroid(field, rows)
-        picked.clear()
-        table = M.rank_table()
-        assert table_backend(field.q, n, k) == backend
-        assert picked == [f"_{backend}_rank_table"]
-        assert not table.flags.writeable
-        assert table.tolist() == check_both_backends(M, rows)
-    # the MDS codes of the benchmark are swept; random [16, 8] over GF(4) and
-    # the extended Golay code are counted
-    assert table_backend(16, 16, 6) == "sweep" and table_backend(17, 16, 8) == "sweep"
-    assert table_backend(4, 16, 8) == "count" and table_backend(2, 24, 12) == "count"
-
-
-def test_counting_allocates_about_six_bytes_per_entry():
-    # uint32 counts, a uint8 exponent and one boolean temporary: no int64
-    # array of 2^n entries and no per-word 2^n array
-    rng = np.random.default_rng(20)
-    n = 20
-    M = matroid(GF2, [[int(x) for x in row] for row in rng.integers(0, 2, (n // 2, n))])
-    tracemalloc.start()
-    try:
-        table = M._count_rank_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 7 << n
-    assert table.dtype == np.uint8 and table[-1] == M.rank_full
 
 
 def test_pathwidth_refuses_a_forged_rank_table():
@@ -168,19 +130,59 @@ def test_reduce_batch_matches_reduce_vector(field):
     for t in range(N):
         nonzero[t, : t % m] = 0
         nonzero[t, t % m] = max(nonzero[t, t % m], 1)
-    rows, lead = unit_rows(field, nonzero)
+    # the batch forms hold vectors down their columns: rows (m, N), vs (m, L, N)
+    rows, lead = unit_rows(field, nonzero.T)
+    rows = rows.T
     assert set(lead.tolist()) == set(range(m))
     for row, p, r in zip(rows.tolist(), lead.tolist(), nonzero.tolist()):
         assert row.index(1) == p and all(row[i] == 0 for i in range(p))
         assert reduce_vector(field, [tuple(row)], r) == [0] * m
     vs = np.array(ref_random_rows(field, N * L, m, rng), dtype=np.uint8).reshape(N, L, m)
     vs[::7, 0] = nonzero[::7]  # some vectors in the span
-    residues = reduce_batch(field, rows, lead, vs)
+    residues = reduce_batch(field, rows.T, lead, vs.transpose(2, 1, 0)).transpose(2, 1, 0)
     expect = [[reduce_vector(field, [tuple(row)], v) for v in block.tolist()]
               for row, block in zip(rows.tolist(), vs)]
     assert residues.tolist() == expect
     assert not residues[::7, 0].any()
     assert not residues[np.arange(N), :, lead].any()
+
+
+def decode(planes: np.ndarray, m: int) -> np.ndarray:
+    """The entries of word planes (P, ...) of m bits, (..., m): entry j has
+    bit k set where plane k has bit j."""
+    bits = (planes[..., None] >> np.arange(m, dtype=np.uint16) & 1).astype(np.uint8)
+    shifts = np.arange(len(planes), dtype=np.uint8).reshape((-1,) + (1,) * (bits.ndim - 1))
+    return np.bitwise_or.reduce(bits << shifts)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=str)
+def test_word_step_matches_reduce_vector(field):
+    # N heads, zero heads and heads that lead with each nonzero value at
+    # every position, each pivoted out of L residues at once (every fifth
+    # residue a multiple of its head), against the scalar kernel with the
+    # head scaled to lead with 1 as basis; a zero head changes nothing
+    m, N, L = 12, 80, 4
+    rng = np.random.default_rng(950 + field.q)
+    heads = np.array(ref_random_rows(field, N, m, rng), dtype=np.uint8)
+    for t in range(N):
+        heads[t, : t % m] = 0
+        heads[t, t % m] = 1 + t // m % (field.q - 1)
+    heads[::9] = 0
+    vs = np.array(ref_random_rows(field, N * L, m, rng), dtype=np.uint8).reshape(N, L, m)
+    vs[::5, 0] = field.mul_array[1 + np.arange(0, N, 5)[:, None] % (field.q - 1), heads[::5]]
+    vectors = np.concatenate([heads[:, None], vs], axis=1)  # (N, L + 1, m)
+    res = np.stack([_encode(field, block) for block in vectors], axis=-1)
+    assert res.dtype == np.uint16 and res.shape == ((field.q - 1).bit_length(), L + 1, N)
+    assert (decode(res, m) == vectors.transpose(1, 0, 2)).all()
+    out = np.empty_like(res[:, 1:])
+    _word_step(field, res, out)
+    got = decode(out, m).transpose(1, 0, 2)
+    for t in range(N):
+        head = heads[t].tolist()
+        lead = next((x for x in head if x), 0)
+        basis = [tuple(field.mul(field.inv(lead), x) for x in head)] if lead else []
+        assert got[t].tolist() == [reduce_vector(field, basis, v) for v in vs[t].tolist()], t
+    assert not got[::5, 0].any()
 
 
 @pytest.mark.parametrize(
@@ -191,49 +193,58 @@ def test_reduce_batch_matches_reduce_vector(field):
 )
 def test_sweep_past_one_block_matches_counting(field, n, k):
     # n > 16: the high elements are enumerated and each seeds one doubling
-    # of the low 16, on the code route (k <= n - k) and the dual route
-    rows = rank_k_rows(field, n, k, np.random.default_rng(40 * n + k + field.q))
+    # of the low 16, on the code route (k <= n - k) and the dual route;
+    # elimination is the reference on seeded masks from every block
+    rng = np.random.default_rng(40 * n + k + field.q)
+    rows = rank_k_rows(field, n, k, rng)
     for row in rows:
         row[-1] = row[0]  # a high element parallel to a low one
     M = matroid(field, rows)
     assert M.size > CHUNK_WORDS.bit_length() - 1
     assert (M.rank_full > n - M.rank_full) == (k > n - k)
-    swept = M._sweep_rank_table()
-    assert np.array_equal(swept, M._count_rank_table())
-    assert swept[-1] == M.rank_full and swept.dtype == np.uint8
+    table = M.rank_table()
+    cols = M.matrix.columns()
+    masks = rng.integers(0, 1 << n, 300).tolist()
+    masks += [H << 16 | low for H in range(1 << (n - 16)) for low in (0, 1, 0xFFFF)]
+    for S in masks:
+        assert table[S] == rank_of_columns(field, [cols[i] for i in range(n) if S >> i & 1]), S
+    assert table[-1] == M.rank_full and table.dtype == np.uint8
+
+
+def traced_peak(M) -> int:
+    tracemalloc.start()
+    try:
+        M.rank_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_sweep_allocates_the_table_and_one_block_of_bases():
-    # a rank-3 code on 20 elements: the uint8 table, plus the bases of one
-    # block of at most 2^16 subsets (m x m bytes each) and the temporaries
-    # of reducing a column against them; never an array per table entry
+    # a rank-3 code on 20 elements over GF(17): the uint8 table, plus the
+    # byte residues of one block of 2^16 subsets (m bytes each, the old and
+    # the new ones of a step) and the temporaries of the step; never an
+    # array per table entry
     rng = np.random.default_rng(21)
     n, m = 20, 3
-    M = matroid(GF3, rank_k_rows(GF3, n, m, rng))
-    tracemalloc.start()
-    try:
-        table = M._sweep_rank_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (1 << n) + 4 * CHUNK_WORDS * m * m
-    assert table.dtype == np.uint8 and table[-1] == m
+    M = matroid(GF17, rank_k_rows(GF17, n, m, rng))
+    assert traced_peak(M) < (1 << n) + 8 * CHUNK_WORDS * m
+    assert M.rank_table()[-1] == m
 
 
 def test_sweep_memory_is_linear_in_m():
-    # a [20, 8] code over GF(2): one block holds at most 2^15 residues of m
-    # bytes and the one-row step's temporaries, never m x m bytes a subset
+    # [20, 8] codes over GF(2) and GF(4): the uint8 table plus one block of
+    # uint16 planes (a word a plane for each of the 2^16 subsets of a
+    # block), held about four times over by the old and the new residues of
+    # a step and the step's temporaries; never m bytes a residue
     rng = np.random.default_rng(22)
     n, m = 20, 8
-    M = matroid(GF2, rank_k_rows(GF2, n, m, rng))
-    tracemalloc.start()
-    try:
-        table = M._sweep_rank_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (1 << n) + 4 * CHUNK_WORDS * m
-    assert table.dtype == np.uint8 and table[-1] == m
+    for field in (GF2, GF4):
+        M = matroid(field, rank_k_rows(field, n, m, rng))
+        planes = (field.q - 1).bit_length()
+        assert traced_peak(M) < (1 << n) + 4 * planes * 2 * CHUNK_WORDS
+        assert M.rank_table()[-1] == m
 
 
 @pytest.mark.parametrize("field, n, m", [(GF5, 18, 2), (GF256, 17, 1), (GF3, 17, 4), (GF4, 18, 6)],
@@ -259,3 +270,20 @@ def test_sweep_matches_elimination_past_one_block(field, n, m):
     if m <= n - 16:
         H = (1 << m) - 1
         assert (table[H << 16 : (H + 1) << 16] == m).all()
+
+
+@st.composite
+def small_matrices(draw):
+    field = draw(st.sampled_from([GF2, GF3, GF4, GF5, GF16]))
+    n = draw(st.integers(0, 8))
+    rows = draw(st.integers(0, n + 1))
+    entries = draw(st.lists(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n),
+                            min_size=rows, max_size=rows))
+    return GfMatrix(field, entries, cols=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_rank_table_equals_elimination_property(A):
+    M = VectorMatroid(A)
+    assert M.rank_table().tolist() == elimination_table(M)
