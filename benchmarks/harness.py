@@ -19,8 +19,7 @@ would slow) and the answer, which must agree between the trees that
 recorded one (`answers_agree`); and the machine.  A case is skipped, and
 recorded with the reason, when its first run takes longer than TIME_CAP
 seconds (an interval timer interrupts it; an interpreter still running
-after 4 * TIME_CAP is stopped), or when the runner returns a reason (a
-str) instead of a function.
+after 4 * TIME_CAP is stopped).
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ def _overtime(signum, frame):
 def measure_here(runner, args) -> dict:
     """The case's result, measured in this interpreter."""
     run = runner(*args)
-    if isinstance(run, str):
-        return {"skipped": run}
     runs = []
     signal.signal(signal.SIGALRM, _overtime)
     signal.setitimer(signal.ITIMER_REAL, TIME_CAP)

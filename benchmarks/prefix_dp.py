@@ -9,10 +9,9 @@ fresh interpreter per tree and input, the trees taking turns).  Inputs:
 - "apex": `pathwidth_exact` on the apex matroid over GF(2) (as
   `reduction.reduce_instance` builds it) of P6 (22 elements), K23 (22),
   C6 (24), K4 (20) and K5 (30); a fresh matroid for each run, so the
-  rank table is built every time.  Trees whose `pathwidth_exact` still
-  takes an element cap (24 by default) are passed 30, so that they
-  measure K5 too.  K4 and K5 are the dense ones: every state has lambda <= w*, and the largest layer
-  minimum of lambda is w* - 1, so the DP's first pass fails;
+  rank table is built every time.  K4 and K5 are the dense ones: every
+  state has lambda <= w*, and the largest layer minimum of lambda is
+  w* - 1, so the DP's first pass fails;
 - "dp": `prefix_dp` alone on seeded random uint8 costs below 13 over the
   2^n subsets of n = 20, 22 and 24 elements, every element its own class;
 - "lam": `prefix_dp` alone on the lambda table of a simple code, ties by
@@ -24,16 +23,13 @@ fresh interpreter per tree and input, the trees taking turns).  Inputs:
   fresh matroid for each run;
 - "graph": `graph_pathwidth` on the seeded graph of n = 16, 20 and 22
   vertices and 2n edges (`verify.random_graph` drawn from
-  `verify.rng_for(n)`): the vertex-boundary costs and the same DP.  A
-  tree whose `graph_pathwidth` caps the vertex count below n records the
-  case as skipped, with the cap as the reason.
+  `verify.rng_for(n)`): the vertex-boundary costs and the same DP.
 
 The answer (width and ordering) must agree between trees.
 """
 
 from __future__ import annotations
 
-import inspect
 import sys
 import time
 
@@ -43,7 +39,6 @@ APEX = ("P6", "K23", "C6", "K4", "K5")
 DP_SIZES = (20, 22, 24)
 LAMBDA_TABLES = ("gf2-17-8", "mds17-16-8")
 GRAPH_SIZES = (16, 20, 22)
-OLD_CAP = (30,)  # for trees whose pathwidth_exact takes an element cap
 
 
 def _apex_matroid(name: str):
@@ -92,28 +87,24 @@ def runner(group: str, arg: str):
         from matwidth.pathwidth import pathwidth_exact
 
         build = _apex_matroid(arg) if group == "apex" else lambda: _code_matroid(arg)
-        cap = OLD_CAP if "exact_cap" in inspect.signature(pathwidth_exact).parameters else ()
 
         def run():
             M = build()
             start = time.perf_counter()
-            cert = pathwidth_exact(M, *cap)
+            cert = pathwidth_exact(M)
             return time.perf_counter() - start, [cert.width, list(cert.ordering)]
 
         return run
     if group == "graph":
-        from matwidth import graph
+        from matwidth.graph import graph_pathwidth
         from matwidth.verify import random_graph, rng_for
 
         n = int(arg)
-        cap = getattr(graph, "MAX_PATHWIDTH_VERTICES", n)
-        if n > cap:
-            return f"graph_pathwidth refuses more than {cap} vertices"
         G = random_graph(n, 2 * n, rng_for(n))
 
         def run():
             start = time.perf_counter()
-            width, decomp = graph.graph_pathwidth(G)
+            width, decomp = graph_pathwidth(G)
             return time.perf_counter() - start, [width, [sorted(bag) for bag in decomp.bags]]
 
         return run

@@ -2,11 +2,14 @@
 
 Field elements are encoded as integers 0..q-1; for extension fields the
 base-p digits of the code are the polynomial coefficients (little-endian:
-digit i is the coefficient of x**i).  Every field, prime or extension, is
-the same four lookup tables (addition, negation, multiplication, inverse),
-built once when the field is; arithmetic never branches on the field's
-kind.  All matrix work is exact Gaussian elimination reading those tables,
-one multiplication-table row per pivot.  No floating point.
+digit i is the coefficient of x**i), reduced modulo the smallest-encoding
+monic irreducible polynomial of degree k.  Every field, prime or
+extension, is the same four lookup tables (addition, negation,
+multiplication, inverse), built once when the field is, in integer numpy
+operations over the digit vectors of all q codes at once (`FieldSpec`);
+arithmetic never branches on the field's kind.  All matrix work is exact
+Gaussian elimination reading those tables, one multiplication-table row
+per pivot.  No floating point.
 """
 
 from __future__ import annotations
@@ -47,66 +50,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficient lists little-endian
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_is_irreducible(m, p):
-    k = len(m) - 1
-    for d in range(1, k // 2 + 1):
-        for code in range(p**d):
-            g = []
-            c = code
-            for _ in range(d):
-                g.append(c % p)
-                c //= p
-            g.append(1)
-            if not _poly_mod(m, g, p):
-                return False
-    return True
-
-
-def _find_reduction_poly(p: int, k: int) -> tuple:
-    """Smallest-encoding monic irreducible polynomial of degree k over GF(p)."""
-    for code in range(p**k):
-        digits = []
-        c = code
-        for _ in range(k):
-            digits.append(c % p)
-            c //= p
-        cand = digits + [1]
-        if _poly_is_irreducible(cand, p):
-            return tuple(cand)
-    raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
+def _poly_product(a, b, p: int) -> np.ndarray:
+    """Every product mod p of a polynomial of a with one of b, as an
+    (m + n - 1, A, B) array: a (m, A) and b (n, B) hold A and B polynomials
+    as uint16 columns of little-endian coefficients below p.  Each
+    coefficient sums at most min(m, n) products below p^2, so it fits
+    uint16 for every field up to the cap."""
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[1]), dtype=np.uint16)
+    b = b[:, None]
+    for i, ai in enumerate(a[:, :, None]):
+        out[i:i + len(b)] += ai * b
+    return out % p
 
 
 class FieldSpec:
@@ -114,62 +68,63 @@ class FieldSpec:
 
     add_table[a][b], neg_table[a], mul_table[a][b] and inv_table[a] are
     tuples of element codes, built once per field; every arithmetic method
-    is a lookup, the same for prime and extension fields.  Sums are taken
-    digit by digit mod p; products and inverses come from exp/log tables
-    over a generator of the multiplicative group, and so does `pow`.  Only
-    the construction depends on k: a product of constants for k = 1, a
-    polynomial product mod the reduction polynomial for k > 1.
-    inv_table[0] is a placeholder 0; `inv(0)` raises.
+    is a lookup, the same for prime and extension fields.  The tables come
+    from the base-p digit vectors of all q codes at once: sums digit by
+    digit mod p, and products as the q^2 polynomial products of the digit
+    vectors, each coefficient of x^d (d >= k) folded back through x^d mod
+    the reduction polynomial.  The reduction polynomial is the
+    smallest-encoding monic irreducible of degree k: the smallest code that
+    no product of monic polynomials of degrees d and k - d (1 <= d <= k/2)
+    reaches; () for k = 1.  neg_table and inv_table are read off the other
+    two (inv_table[0] is a placeholder 0; `inv(0)` raises), and `pow` is
+    square-and-multiply over mul_table.
 
     add_array, neg_array, mul_array and inv_array are the same four tables
     as read-only uint8 numpy arrays, for the vectorised consumers.
     """
 
-    def __init__(self, p: int, k: int, reduction_poly: tuple):
+    def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
         self.q = q = p**k
-        self.reduction_poly = reduction_poly
-        digits = np.array([[a // p**i % p for i in range(k)] for a in range(q)])
-        weights = p ** np.arange(k)
-        add = (digits[:, None] + digits) % p @ weights
-        neg = -digits % p @ weights
-        self.add_table = tuple(map(tuple, add.tolist()))
-        self.neg_table = tuple(neg.tolist())
-        exp = self._powers_of_generator()
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = tuple(exp), tuple(log)
-        # exp repeated twice, so that log[a] + log[b] needs no reduction
-        logs = np.array(log)
-        mul = np.array(exp * 2)[logs[:, None] + logs]
-        mul[0, :] = mul[:, 0] = 0
-        self.mul_table = tuple(map(tuple, mul.tolist()))
-        self.inv_table = (0,) + tuple(exp[-log[a] % (q - 1)] for a in range(1, q))
+        # digits[i, c]: the coefficient of x^i in code c, for c < 2q, so
+        # that codes p^d .. 2p^d - 1 are the monic polynomials of degree d
+        powers = p ** np.arange(k + 1, dtype=np.uint16)
+        digits = np.arange(2 * q, dtype=np.uint16) // powers[:, None] % p
+
+        def codes(coefficients):
+            # Horner's rule in p over the first k digit planes
+            out = coefficients[k - 1]
+            for i in range(k - 2, -1, -1):
+                out = out * p + coefficients[i]
+            return out
+
+        def monic(d):
+            return digits[:d + 1, p**d:2 * p**d]
+
+        # reducible[c]: x^k + (code c) is a product of two monic polynomials
+        reducible = np.zeros(q, dtype=bool)
+        for d in range(1, k // 2 + 1):
+            reducible[codes(_poly_product(monic(d), monic(k - d), p)[:k])] = True
+        f = digits[:, q + reducible.argmin()]
+        self.reduction_poly = tuple(f.tolist()) if k > 1 else ()
+        digits = digits[:k, :q]
+        add = codes((digits[:, :, None] + digits[:, None]) % p)
+        prod = _poly_product(digits, digits, p)
+        # x^k = -(f - x^k) mod f, so the coefficient of x^d, d >= k, moves
+        # onto x^(d-k) .. x^(d-1) times -(f - x^k), from the top down.  No
+        # reduction in between: each fold raises the coefficients' bound by
+        # at most a factor p, from p - 1 to below q after all k - 1 folds.
+        for d in range(2 * k - 2, k - 1, -1):
+            prod[d - k:d] += prod[d] * ((p - f[:k, None, None]) % p)
+        mul = codes(prod[:k] % p)
+        # each row of add holds every code once, so 0 is its least entry
+        neg, inv = add.argmin(axis=1), (mul == 1).argmax(axis=1)
+        self.add_table, self.mul_table = (tuple(map(tuple, t.tolist())) for t in (add, mul))
+        self.neg_table, self.inv_table = (tuple(t.tolist()) for t in (neg, inv))
         self.add_array, self.neg_array, self.mul_array, self.inv_array = (
-            _frozen_u8(t) for t in (add, neg, mul, self.inv_table)
+            _frozen_u8(t) for t in (add, neg, mul, inv)
         )
-
-    def _product(self, a: int, b: int) -> int:
-        """a * b for building the tables."""
-        p, k = self.p, self.k
-        if k == 1:
-            return a * b % p
-        prod = _poly_mul([a // p**i % p for i in range(k)], [b // p**i % p for i in range(k)], p)
-        return sum(d * p**i for i, d in enumerate(_poly_mod(prod, self.reduction_poly, p)))
-
-    def _powers_of_generator(self) -> list:
-        """[g^0, g^1, ..., g^(q-2)] for the smallest generator g."""
-        for g in range(1, self.q):
-            powers = [1]
-            x = g
-            while x != 1:
-                powers.append(x)
-                x = self._product(x, g)
-            if len(powers) == self.q - 1:
-                return powers
-        raise AssertionError(f"GF({self.q}) has no generator")
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -191,14 +146,16 @@ class FieldSpec:
         return self.inv_table[a]
 
     def pow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] * e % (self.q - 1)]
-
-    def elements(self):
-        return range(self.q)
+        """a**e; a negative e raises a's inverse to -e, and 0**e is 0 for
+        every e but 0."""
+        if e < 0:
+            a, e = self.inv_table[a], -e
+        mul, power = self.mul_table, 1
+        while e:
+            if e & 1:
+                power = mul[power][a]
+            a, e = mul[a][a], e >> 1
+        return power
 
     def q_token(self) -> str:
         return str(self.p) if self.k == 1 else f"{self.p}^{self.k}"
@@ -213,29 +170,35 @@ class FieldSpec:
         return f"GF({self.q})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
 
-def _frozen_u8(table) -> np.ndarray:
-    arr = np.array(table, dtype=np.uint8)
-    arr.flags.writeable = False
+def _frozen_u8(table: np.ndarray) -> np.ndarray:
+    arr = table.astype(np.uint8)
+    arr.setflags(write=False)
     return arr
 
 
 @functools.lru_cache(maxsize=None)
 def field_new(p: int, k: int = 1) -> FieldSpec:
-    """Build GF(p**k).  Instances are cached, so equal fields are identical."""
-    if not _is_prime(p):
-        raise NonPrimeCharacteristic(f"{p} is not prime")
+    """Build GF(p**k).  Instances are cached, so equal fields are identical.
+
+    The cap is checked before p**k is computed or p tested for primality
+    (2**k already passes it for k >= 9), so a huge p or k is refused at
+    once."""
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**k > MAX_FIELD_ORDER:
+    if p >= 2 and (p > MAX_FIELD_ORDER or k >= MAX_FIELD_ORDER.bit_length()
+                   or p**k > MAX_FIELD_ORDER):
         raise FieldTooLarge(f"{p}^{k} exceeds the cap of {MAX_FIELD_ORDER}")
-    poly = () if k == 1 else _find_reduction_poly(p, k)
-    return FieldSpec(p, k, poly)
+    if not _is_prime(p):
+        raise NonPrimeCharacteristic(f"{p} is not prime")
+    return FieldSpec(p, k)
 
 
 def field_from_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
     if q < 2:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
+    if q > MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"{q} exceeds the cap of {MAX_FIELD_ORDER}")
     p = 2
     while q % p:
         p += 1

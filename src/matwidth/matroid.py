@@ -159,7 +159,6 @@ class VectorMatroid:
         self.columns = tuple(matrix.columns())
         self.rank_full = algebra.rank(matrix)
         self._rank_cache = {0: 0}
-        self._lambda_cache = {}
         self._rank_table = None
 
     # -- ground set ----------------------------------------------------------
@@ -222,15 +221,9 @@ class VectorMatroid:
         return self._rank_mask(self.mask_of(subset))
 
     def connectivity(self, subset) -> int:
-        """lambda(X) = r(X) + r(E - X) - r(E); symmetric, cached on min(X, E-X)."""
+        """lambda(X) = r(X) + r(E - X) - r(E), from two memoized rank lookups."""
         mask = self.mask_of(subset)
-        comp = self.full_mask ^ mask
-        key = min(mask, comp)
-        lam = self._lambda_cache.get(key)
-        if lam is None:
-            lam = self._rank_mask(mask) + self._rank_mask(comp) - self.rank_full
-            self._lambda_cache[key] = lam
-        return lam
+        return self._rank_mask(mask) + self._rank_mask(self.full_mask ^ mask) - self.rank_full
 
     def closure(self, subset):
         """cl(X) = {e : r(X + e) = r(X)}.  Mask in, mask out; labels in, frozenset out."""

@@ -23,12 +23,14 @@ from util import (
     GF2,
     GF3,
     GF5,
+    ORDERS,
     REF_FIELDS,
     _ref_ops,
     matrix,
     ref_dimension,
     ref_random_rows,
     ref_rank,
+    ref_reduction_poly,
     ref_row_space,
 )
 
@@ -62,6 +64,11 @@ def test_field_cap():
         field_new(2, 9)
     with pytest.raises(FieldTooLarge):
         field_new(257)
+    # refused from the cap alone: no p**k, no primality test, no factoring
+    with pytest.raises(FieldTooLarge):
+        field_new(2, 2_000_000_000)
+    with pytest.raises(FieldTooLarge):
+        field_from_order(1_000_000_000_039)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
@@ -81,15 +88,34 @@ def test_field_axioms_exhaustive(p, k):
         assert f.mul(a, b) == f.mul(b, a)
 
 
-@pytest.mark.parametrize("field", [f for f, _ in REF_FIELDS], ids=str)
+def test_each_reduction_poly_is_the_smallest_irreducible():
+    # the polynomial fixes what every code over GF(p^k) means
+    for q in ORDERS:
+        f = field_from_order(q)
+        assert f.reduction_poly == ref_reduction_poly(f.p, f.k)
+
+
+def _pairs(q):
+    """Every pair of elements for q <= 64, else 4,096 seeded pairs."""
+    if q <= 64:
+        return list(itertools.product(range(q), repeat=2))
+    rng = np.random.default_rng(q)
+    return [tuple(map(int, ab)) for ab in rng.integers(0, q, (4096, 2))]
+
+
+EXTENSION_FIELDS = [f for f in map(field_from_order, ORDERS) if f.k > 1]
+
+
+@pytest.mark.parametrize(
+    "field", [f for f, _ in REF_FIELDS if f.k == 1] + EXTENSION_FIELDS, ids=str)
 def test_tables_match_reference_arithmetic(field):
-    add, mul = _ref_ops(field.p, field.k, field.reduction_poly)
+    add, mul = _ref_ops(field.p, field.k)
     q = field.q
-    assert field.add_table == tuple(tuple(row) for row in add)
-    assert field.mul_table == tuple(tuple(mul(a, b) for b in range(q)) for a in range(q))
-    assert field.neg_table == tuple(add[a].index(0) for a in range(q))
-    mul_table = field.mul_table
-    assert field.inv_table[1:] == tuple(mul_table[a].index(1) for a in range(1, q))
+    for a, b in _pairs(q):
+        assert field.add_table[a][b] == add[a][b]
+        assert field.mul_table[a][b] == mul(a, b)
+    assert all(add[a][field.neg_table[a]] == 0 for a in range(q))
+    assert all(mul(a, field.inv_table[a]) == 1 for a in range(1, q))
     with pytest.raises(ZeroDivisionError):
         field.inv(0)
     for a in range(q):
@@ -97,6 +123,18 @@ def test_tables_match_reference_arithmetic(field):
         for e in range(4):
             assert field.pow(a, e) == power
             power = mul(power, a)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 17, 243, 256])
+def test_pow_with_negative_exponents(q):
+    # a^-e is the e-th power of a's inverse; 0^-e stays 0
+    f = field_from_order(q)
+    _, mul = _ref_ops(f.p, f.k)
+    for a in range(1, q):
+        assert f.pow(a, -1) == f.inv(a)
+        for e in (1, 2, 5, q - 1, q):
+            assert mul(f.pow(a, -e), f.pow(a, e)) == 1
+    assert [f.pow(0, e) for e in (-2, -1, 0, 1)] == [0, 0, 1, 0]
 
 
 def test_field_from_order():

@@ -17,6 +17,7 @@ SMALLEST = {
     "prefix_dp.py": ("apex", "P6"),
     "minor_search.py": ("minor", "W5:U24"),
     "cli_ops.py": ("reduce-verify", "1", "0"),
+    "fields.py": ("4",),
 }
 # groups of a script beyond the one its smallest input runs
 GROUPS = {"minor_search.py iso-hosts": ("iso-hosts", "4:1:F7"), "prefix_dp.py graph": ("graph", "16")}

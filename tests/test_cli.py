@@ -2,7 +2,12 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -411,3 +416,32 @@ def test_check_tw1_answers_a_length_12_code(capsys, tmp_path):
     p.write_text("2 1 12\n" + " ".join(["1"] * 12) + "\n")
     code, payload, _ = run(capsys, "check-tw1", str(p))
     assert code == 0 and payload == {"tw_le_1": True, "witness": None}
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["pathwidth"], "1000000000039 1 1\n1\n"),
+    (["reduce", "--field", "1000000000039"], EDGE_GRAPH),
+    (["pathwidth"], "2^2000000000 1 1\n1\n"),
+], ids=["prime-order", "reduce-field", "huge-degree"])
+def test_an_oversized_field_is_refused_before_any_arithmetic(capsys, tmp_path, argv, text):
+    # a child process with a timeout first, so that a regression (trial
+    # division up to the order's smallest factor, or p**k computed before
+    # the cap) fails instead of hanging the suite
+    p = tmp_path / "input.txt"
+    p.write_text(text)
+    args = [*argv[:1], str(p), *argv[1:]]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    child = subprocess.run([sys.executable, "-m", "matwidth.cli", *args], env=env,
+                           capture_output=True, text=True, timeout=10)
+    assert child.returncode == 1
+    assert "exceeds the cap of 256" in json.loads(child.stdout)["error"]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, payload, _ = run(capsys, *args)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "exceeds the cap of 256" in payload["error"]
+    assert seconds < 1 and peak < 2**20

@@ -4,17 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matwidth.algebra import MAX_FIELD_ORDER, field_from_order
-
-
-def _is_prime_power(q: int) -> bool:
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-ORDERS = [q for q in range(2, MAX_FIELD_ORDER + 1) if _is_prime_power(q)]
+from matwidth.algebra import field_from_order
+from util import ORDERS
 
 
 def test_seventy_fields():

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from matwidth import field_new
-from matwidth.algebra import GfMatrix
+from matwidth.algebra import MAX_FIELD_ORDER, GfMatrix
 from matwidth.graph import MultiGraph, mk_graph
 from matwidth.matroid import VectorMatroid
 
@@ -170,12 +170,57 @@ def u24(field=GF3) -> VectorMatroid:
 # ---------------------------------------------------------------------------
 # reference linear algebra: no elimination and no library arithmetic.  Only
 # the element encoding is shared: base-p digits of a code are polynomial
-# coefficients, reduced by the field's monic reduction polynomial.
+# coefficients, reduced by the smallest-encoding monic irreducible
+# polynomial, which `ref_reduction_poly` finds here by trial division.
+
+
+def _is_prime_power(q: int) -> bool:
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+# every field order the library supports: 2..256, 70 of them
+ORDERS = [q for q in range(2, MAX_FIELD_ORDER + 1) if _is_prime_power(q)]
+
+
+def _ref_remainder(a, g, p):
+    """a mod g over GF(p) by long division, coefficient lists little-endian
+    and g monic."""
+    a = list(a)
+    for top in range(len(a) - 1, len(g) - 2, -1):
+        c = a[top]
+        for i, x in enumerate(g):
+            a[top - len(g) + 1 + i] = (a[top - len(g) + 1 + i] - c * x) % p
+    return a[:len(g) - 1]
 
 
 @functools.lru_cache(maxsize=None)
-def _ref_ops(p, k, poly):
+def ref_reduction_poly(p, k) -> tuple:
+    """The smallest-encoding monic polynomial of degree k over GF(p) with no
+    monic factor of degree 1..k/2 (by trial division), little-endian with
+    its leading 1; () for a prime field."""
+    if k == 1:
+        return ()
+
+    def digits(code, d):
+        return [code // p**i % p for i in range(d)]
+
+    for code in range(p**k):
+        f = digits(code, k) + [1]
+        if all(any(_ref_remainder(f, digits(g, d) + [1], p))
+               for d in range(1, k // 2 + 1) for g in range(p**d)):
+            return tuple(f)
+    raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_ops(p, k):
+    """(addition table, multiplication function) of GF(p^k), products
+    reduced by `ref_reduction_poly`."""
     q = p**k
+    poly = ref_reduction_poly(p, k)
 
     def digits(a):
         return [(a // p**i) % p for i in range(k)]
@@ -189,11 +234,7 @@ def _ref_ops(p, k, poly):
         for i, x in enumerate(da):
             for j, y in enumerate(db):
                 prod[i + j] = (prod[i + j] + x * y) % p
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            for i, m in enumerate(poly):
-                prod[d - k + i] = (prod[d - k + i] - c * m) % p
-        return code(prod[:k])
+        return code(_ref_remainder(prod, poly, p) if k > 1 else prod)
 
     add = [[code([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)] for a in range(q)]
     return add, mul
@@ -201,7 +242,7 @@ def _ref_ops(p, k, poly):
 
 def ref_field_ops(field):
     """(addition table, multiplication function) of GF(p^k)."""
-    return _ref_ops(field.p, field.k, field.reduction_poly)
+    return _ref_ops(field.p, field.k)
 
 
 def ref_scale(field, c, v) -> tuple:
