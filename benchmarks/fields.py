@@ -5,7 +5,7 @@
 One case per prime power q <= 256 (70 of them), measured for every tree by
 the shared child harness (`harness.py`: best of 3 runs and the tracemalloc
 peak of one more, in a fresh interpreter per tree and field).  One run
-builds GF(q) afresh (`field_new` with its cache cleared) max(1, 2^16 / q^2)
+builds GF(q) afresh (the field cache cleared) max(1, 2^16 / q^2)
 times and reports the mean, so that the small fields are timed over
 milliseconds.  The answer is the sha256 of the reduction polynomial, the
 four tuple tables, the four uint8 arrays and pow(a, e) for every a and
@@ -32,11 +32,13 @@ def runner(q: str):
 
     q = int(q)
     builds = max(1, (1 << 16) // (q * q))
+    # older trees cache field_new itself
+    clear_cache = getattr(algebra, "_field_spec", algebra.field_new).cache_clear
 
     def run():
         start = time.perf_counter()
         for _ in range(builds):
-            algebra.field_new.cache_clear()
+            clear_cache()
             f = algebra.field_from_order(q)
         secs = (time.perf_counter() - start) / builds
         pows = [[f.pow(a, e) for a in range(q)] for e in (-1, 0, 1, 2, 5, q - 1, q)]

@@ -176,9 +176,9 @@ def _frozen_u8(table: np.ndarray) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=None)
 def field_new(p: int, k: int = 1) -> FieldSpec:
-    """Build GF(p**k).  Instances are cached, so equal fields are identical.
+    """Build GF(p**k).  Instances are cached on (p, k), whatever form the
+    call takes, so equal fields are identical.
 
     The cap is checked before p**k is computed or p tested for primality
     (2**k already passes it for k >= 9), so a huge p or k is refused at
@@ -190,7 +190,13 @@ def field_new(p: int, k: int = 1) -> FieldSpec:
         raise FieldTooLarge(f"{p}^{k} exceeds the cap of {MAX_FIELD_ORDER}")
     if not _is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
-    return FieldSpec(p, k)
+    return _field_spec(p, k)
+
+
+# one FieldSpec per (p, k); field_new, its only caller, passes both
+# positionally, so field_new(2), field_new(2, 1) and field_from_order(2)
+# share one entry
+_field_spec = functools.cache(FieldSpec)
 
 
 def field_from_order(q: int) -> FieldSpec:

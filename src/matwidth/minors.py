@@ -36,6 +36,11 @@ from .matroid import (
 )
 from .pathwidth import pathwidth_exact
 
+# the bytes of gathered candidate tables one slice of the minor search may
+# hold (see minor_contains)
+BATCH_BYTES = 1 << 16
+
+
 class UniformNotRepresentable(ValueError):
     """No U_{k,n} representation exists over the given field."""
 
@@ -273,19 +278,26 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
     minor matrix is built.  Hosts of more than ISO_MAX_GROUND elements, the
     cap of every exhaustive search, are refused.
 
-    The candidates of one contract set X are tested in one numpy batch.
-    The delete sets Y of each size are listed once, in lexicographic order,
-    and those of the wrong rank dropped (the rank test does not involve X);
-    X's batch is those of the rest that avoid X, still in order.  Their
+    The candidates are tested in numpy slices of many contract sets.  For
+    each contract size, the delete sets Y are listed once, in lexicographic
+    order, and those of the wrong rank dropped (the rank test does not
+    involve X); the independent contract sets X are listed once too, and
+    walked in lexicographic order in slices.  A slice's (X, Y) pairs are
+    the disjoint ones of one mask product, in row-major order, so the
+    pairs keep the lexicographic order of a pair-by-pair loop.  Their
     tables are gathered in one indexing step, and the rows whose sorted
     keys |S| * (n + 1) + r(S) (`matroid.rank_keys`) differ from the
     pattern's are rejected together.  The rows left go to
     `table_isomorphism` one at a time, in order, so the first certificate
-    is the one a pair-by-pair loop finds.  A batch holds at most C(n - |X|, |Y|) rows of 2^|pattern|
-    entries (9 bytes each, an int64 index and a uint8 table), never a
-    whole |X| layer: tracemalloc peaks below 100 KB on the benchmark's
-    check-minor queries and below 1 MB on 12-element hosts against the
-    w = 1 catalog."""
+    is the one a pair-by-pair loop finds.  The first slice holds one
+    contract set and each later one twice as many, up to the byte cap
+    `BATCH_BYTES`, so that a find near the front gathers little: a slice of
+    m contract sets against the l delete sets of the right rank gathers at
+    most m * l rows of 2^|pattern| entries, 9 bytes each (an int64 index
+    and a uint8 table), and m is at most the largest with
+    m * l * 2^|pattern| * 9 <= BATCH_BYTES, or 1.
+    tracemalloc peaks below 256 KB on the benchmark's check-minor queries
+    and below 1 MB on 12-element hosts against the w = 1 catalog."""
     n_host, n_pat = host.size, pattern.size
     if n_host > ISO_MAX_GROUND:
         raise GroundSetTooLarge(f"{n_host} > {ISO_MAX_GROUND} elements for an exhaustive search")
@@ -308,26 +320,29 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
         d_size = removals - c_size
         # every delete set of this size, in lexicographic label order, kept
         # where the minor has the pattern's rank: T(E - Y) - |X| = r(pattern)
-        count = math.comb(n_host, d_size)
-        all_ys = np.fromiter(itertools.chain.from_iterable(itertools.combinations(positions, d_size)),
-                             dtype=np.intp, count=count * d_size).reshape(count, d_size)
-        all_ymasks = (1 << all_ys).sum(axis=1)
+        all_ys, all_ymasks = _subsets(positions, d_size)
         right_rank = T[full ^ all_ymasks] == c_size + pattern.rank_full
         all_ys, all_ymasks = all_ys[right_rank], all_ymasks[right_rank]
         if not len(all_ys):
             continue
-        for X_pos in itertools.combinations(positions, c_size):
-            xmask = sum(1 << i for i in X_pos)
-            if T[xmask] != c_size:
-                continue  # only independent contract sets are needed
-            # the delete sets avoiding X, still in lexicographic order
-            disjoint = (all_ymasks & xmask) == 0
-            if not disjoint.any():
+        # only independent contract sets are needed
+        all_xs, all_xmasks = _subsets(positions, c_size)
+        independent = T[all_xmasks] == c_size
+        all_xs, all_xmasks = all_xs[independent], all_xmasks[independent]
+        max_width = max(1, BATCH_BYTES // (len(all_ys) * 9 << n_pat))
+        lo, width = 0, 1
+        while lo < len(all_xs):
+            hi = lo + width
+            # the disjoint (X, Y) pairs of the slice, in lexicographic order
+            xi, yi = np.nonzero((all_xmasks[lo:hi, None] & all_ymasks) == 0)
+            xi += lo
+            lo, width = hi, min(2 * width, max_width)
+            if not len(xi):
                 continue
-            ys, ymasks = all_ys[disjoint], all_ymasks[disjoint]
-            kept = np.nonzero((ymasks[:, None] | xmask) >> elements & 1 == 0)[1].reshape(len(ys), n_pat)
+            xmasks = all_xmasks[xi, None]
+            kept = np.nonzero((xmasks | all_ymasks[yi, None]) >> elements & 1 == 0)[1].reshape(len(xi), n_pat)
             index = (1 << kept) @ bits_t
-            index |= xmask
+            index |= xmasks
             tables = T[index]
             del index
             tables -= np.uint8(c_size)
@@ -339,10 +354,19 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
                 labels = [host.labels[i] for i in kept[r]]
                 bij = table_isomorphism(T_pat, pattern.labels, tables[r], labels, inv_pat)
                 if bij is not None:
-                    X = frozenset(host.labels[i] for i in X_pos)
-                    Y = frozenset(host.labels[i] for i in ys[r])
+                    X = frozenset(host.labels[i] for i in all_xs[xi[r]])
+                    Y = frozenset(host.labels[i] for i in all_ys[yi[r]])
                     return MinorCertificate(X, Y, bij)
     return None
+
+
+def _subsets(positions, size):
+    """Every size-subset of positions in lexicographic order, as a
+    (count, size) array of positions and their bitmasks."""
+    count = math.comb(len(positions), size)
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(positions, size)),
+                          dtype=np.intp, count=count * size).reshape(count, size)
+    return subsets, (1 << subsets).sum(axis=1)
 
 
 def replay_certificate(host: VectorMatroid, pattern: VectorMatroid, cert: MinorCertificate) -> bool:

@@ -144,6 +144,12 @@ def test_field_from_order():
         field_from_order(6)
 
 
+def test_equal_fields_are_identical():
+    assert field_new(2) is field_new(2, 1) is field_new(p=2, k=1) is field_from_order(2)
+    assert field_new(2, 2) is field_from_order(4)
+    assert field_new(3) is not field_new(3, 2)
+
+
 # ---------------------------------------------------------------------------
 # rank
 

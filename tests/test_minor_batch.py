@@ -2,7 +2,7 @@
 and the memory the batches take.
 
 `_pairwise_minor_contains` is the search as it was before candidates were
-batched per contract set: one (X, Y) pair at a time, each tested for rank
+batched: one (X, Y) pair at a time, each tested for rank
 and then handed to `table_isomorphism`.  The batched `minor_contains` must
 return the same certificate (the same X, Y and bijection) or None, and
 must hand `table_isomorphism` exactly the candidates, in the same order,
@@ -161,6 +161,26 @@ def test_batched_search_matches_pairwise_loop_on_graph_hosts(monkeypatch):
             _assert_same_search(host, entry.matroid, monkeypatch)
 
 
+@pytest.mark.parametrize("batch_bytes", [0, 1 << 30])
+def test_slice_size_changes_nothing(batch_bytes, monkeypatch):
+    # 0: one contract set per slice; 1 << 30: no cap, the slices double to
+    # the end of each contract size
+    monkeypatch.setattr(minors, "BATCH_BYTES", batch_bytes)
+    for G in _benchmark_graphs():
+        host = cycle_matroid(G, GF3)
+        for entry in excluded_minor_catalog(1, GF3):
+            _assert_same_search(host, entry.matroid, monkeypatch)
+    rng = np.random.default_rng(31)
+    found = []
+    for field in (GF2, GF3, GF4):
+        catalog = [e.matroid for e in excluded_minor_catalog(1, field)]
+        for t in range(10):
+            host = _random_host(rng, field, int(rng.integers(9, 12)))
+            for pattern in (_relabelled_minor(rng, host), _random_pattern(rng, field), catalog[t % len(catalog)]):
+                found.append(_assert_same_search(host, pattern, monkeypatch))
+    assert any(found) and not all(found)
+
+
 def test_rank_filter_runs_before_the_layer_test(monkeypatch):
     # deleting any of e1, e2, e3 leaves a free 4-set of rank 4: the same
     # ranks as the 4-circuit on 1-, 2- and 3-sets; only the full set's rank
@@ -214,8 +234,8 @@ def _search_peak(host, pattern) -> int:
 
 
 def test_search_memory_stays_bounded():
-    # one contract set per batch: C(n - |X|, |Y|) rows of 2^|pattern|
-    # entries, never a whole |X| layer of them
+    # a slice gathers at most BATCH_BYTES of candidate tables, or the rows
+    # of one contract set where those alone are more
     patterns = [e.matroid for e in excluded_minor_catalog(1, GF3)]
     peaks = [_search_peak(cycle_matroid(G, GF3), P) for G in _benchmark_graphs() for P in patterns]
     assert max(peaks) <= 256 * 1024
