@@ -48,6 +48,36 @@ B(S - e), so this is the subset DP's tie rule: the e with smallest
 every element has a parallel twin, so an n-element instance has 3^(n/2)
 states instead of 2^n.
 
+The DP takes a batch: cost tables over the same class sizes, one row per
+member, relaxed together in one flat array along one listing of the
+layers, so a pass pays its numpy calls once for all members; a single DP
+is a batch of one.  The members share the passes.  The first runs at the
+lower bound above taken over all members' costs, at most every member's
+B(full), and a pass at w leaves every member's B(x) exact where it is at
+most w, so a member whose full state a pass reaches leaves the passes with
+B(full) exact, and its back-walk picks the order a DP of its own would.
+
+`single_element_minors` solves the 2n minors M \\ e and M / e in such
+batches, with lambda read from M's class ranks and no minor matrix or
+table.  With E' = E - e,
+
+    delete:   lambda(S) = r(S) + r(E' - S) - r(E')
+    contract: lambda(S) = r(S + e) + r(E - S) - r(e) - r(E).
+
+The minors are grouped by the class of M that e leaves, and a minor's
+classes are M's with e removed.  Parallel elements of M stay
+interchangeable in M \\ e and M / e, so lambda still depends on the counts
+alone; a contraction can make more elements parallel, which only means
+finer classes and more states than needed, and the back-walk's tie rule
+is the subset DP's whatever the classes.  A simple M, such as every
+catalog entry, gives one batch of 2n members over 2^(n-1) states; a
+parallel-rich one, such as an apex matroid, keeps class-count states.  A
+batch holds at most as many states as M's own DP, or BATCH_STATES when
+that is more, and is sliced to fit.  Each minor's order is certified as
+M's own is: its prefix lambdas by elimination on M's columns, with e's
+column pushed first into both bases for a contraction, compared entry by
+entry with the gathered lambda and with the width (`_certified`).
+
 The solver has one refusal rule, `matroid.check_budget`, checked before
 anything is allocated: TABLE_BYTES per entry of the simplification's rank
 table plus STATE_BYTES per class-count state must fit in EXACT_BYTES,
@@ -72,6 +102,9 @@ from .matroid import VectorMatroid, check_budget, delete, label_key
 LOW_STATES = 1 << 16  # low part of the state space, grouped by digit sum once
 CHUNK = 1 << 12  # states relaxed at once, or 1/128 of the states on large spaces
 ONE_GATHER = 1 << 13  # up to this many predecessors, one gather at computed indices
+# states of one batch of single-element minors, over all its members, when
+# the parent has fewer (single_element_minors)
+BATCH_STATES = 1 << 15
 
 
 class NotAPermutation(ValueError):
@@ -118,19 +151,32 @@ def width_of_ordering(M: VectorMatroid, ordering) -> WidthCertificate:
     from one echelon_push pass in order, r(E - prefix) from one in reverse
     order."""
     ordering = _check_permutation(M, ordering)
-    cols = [M.columns[M.position(lbl)] for lbl in ordering]
+    lambdas = _prefix_lambdas(M.field, [M.columns[M.position(lbl)] for lbl in ordering])
+    return WidthCertificate(max(lambdas, default=0), ordering, lambdas)
+
+
+def _prefix_lambdas(field, cols, contracted=None) -> tuple:
+    """lambda of every prefix of the columns cols, in order, by elimination:
+    r(prefix) from one echelon_push pass in order, r(rest) from one in
+    reverse order, r(all) from the end of the first.  With contracted, the
+    column of an element e outside cols, both passes start from e's basis
+    and count from there, r(X + e) - r(e) = r_{M/e}(X): the lambdas of
+    M / e."""
 
     def ranks(seq):
-        basis, out = [], []
+        basis = []
+        if contracted is not None:
+            algebra.echelon_push(field, basis, contracted)
+        start, out = len(basis), []
         for col in seq:
-            algebra.echelon_push(M.field, basis, col)
-            out.append(len(basis))
+            algebra.echelon_push(field, basis, col)
+            out.append(len(basis) - start)
         return out
 
-    head = ranks(cols)  # head[t] = r(ordering[: t + 1])
-    tail = ranks(reversed(cols))[::-1][1:] + [0]  # tail[t] = r(ordering[t + 1 :])
-    lambdas = tuple(h + t - M.rank_full for h, t in zip(head, tail))
-    return WidthCertificate(max(lambdas, default=0), ordering, lambdas)
+    head = ranks(cols)  # head[t] = r(cols[: t + 1])
+    tail = ranks(reversed(cols))[::-1][1:] + [0]  # tail[t] = r(cols[t + 1 :])
+    full = head[-1] if head else 0
+    return tuple(h + t - full for h, t in zip(head, tail))
 
 
 def parallel_classes(M: VectorMatroid) -> list:
@@ -152,12 +198,14 @@ def _strides(classes) -> tuple:
     return strides, size
 
 
-def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
-    """lambda of every class-count state (uint8, module docstring): the
-    simplification's rank table gathered along each class axis, for r(S) at
-    count c by [c > 0] and for r(E - S) by [c = |class|] on the reversed
-    table.  The simplification keeps one element of each class, a loop
-    too, and is M itself when M has no parallel elements."""
+def _class_ranks(M: VectorMatroid, classes) -> tuple:
+    """r(S) and r(E - S) of every class-count state S (uint8, module
+    docstring), shaped with one axis per class, class j on axis J - 1 - j:
+    the simplification's rank table gathered along each class axis, for
+    r(S) at count c by [c > 0] and for r(E - S) by [c = |class|] on the
+    reversed table.  The simplification keeps one element of each class, a
+    loop too, and is M itself when M has no parallel elements; then both
+    are views of M's table."""
     reps = {c[0] for c in classes}
     if len(reps) == M.size:
         simple = M
@@ -172,12 +220,18 @@ def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
         if s > 1:
             head = np.take(head, np.minimum(np.arange(s + 1), 1), axis=last - j)
             tail = np.take(tail, (np.arange(s + 1) == s).astype(np.intp), axis=last - j)
+    return head, tail
+
+
+def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
+    """lambda of every class-count state (uint8, module docstring)."""
+    head, tail = _class_ranks(M, classes)
     lam = head + tail
     lam -= np.uint8(M.rank_full)
     return lam.reshape(-1)
 
 
-def prefix_dp(cost: np.ndarray, classes, tie_key) -> tuple:
+def prefix_dp(cost: np.ndarray, classes, tie_key):
     """The layered DP B(x) = max(cost[x], min over j of B[x - stride_j]),
     B(0) = 0, over class-count states x (module docstring), and an optimal
     order of the elements walked back to front from the full state.
@@ -190,26 +244,50 @@ def prefix_dp(cost: np.ndarray, classes, tie_key) -> tuple:
     most 25 on a graph's vertex boundary).  The DP runs in threshold passes
     (module docstring) from the largest layer minimum of cost upwards; a
     pass at w leaves B(x) where it is at most w and a value above w
-    elsewhere."""
-    if isinstance(classes, int):
-        classes = [[e] for e in range(classes)]
-    strides, size = _strides(classes)
-    space = _StateSpace(cost, classes)
+    elsewhere.
+
+    cost may carry a leading batch axis, (members, states): each row is its
+    own DP over the same class sizes, classes then holds one class list per
+    member, and the result is a list of one (B(full state), order) per
+    member.  A single cost table is a batch of one.  The members share the
+    passes (module docstring); a member whose full state a pass reaches is
+    walked back at once."""
+    lone = cost.ndim == 1
+    if lone:
+        classes = [classes]
+    classes = [[[e] for e in range(c)] if isinstance(c, int) else c for c in classes]
+    strides, size = _strides(classes[0])
+    space = _StateSpace(cost, classes[0])
     w = space.lower_bound()
-    while not space.threshold_pass(w):
+    out = [None] * len(classes)
+    pending = list(range(len(classes)))
+    while pending:
+        if space.threshold_pass(w):
+            full = space.B[:, -1].tolist()
+            for k in pending:
+                if full[k] <= w:
+                    out[k] = full[k], _walk_back(space.B[k], classes[k], strides, tie_key)
+            pending = [k for k in pending if full[k] > w]
         w += 1
-    B = space.B
+    return out[0] if lone else out
+
+
+def _walk_back(B, classes, strides, tie_key) -> list:
+    """An optimal order read from one member's B, back to front from the
+    full state: each step removes, of each class's next member e (the
+    smallest (tie_key(e), e) left in it), the one with smallest
+    (B(x - e), tie_key(e), e)."""
     members = [sorted((tie_key(e), e) for e in c) for c in classes]
     taken = [0] * len(classes)
     seq = []
-    x = size - 1
+    x = B.size - 1
     while x:
         _, _, e, j = min((int(B[x - strides[j]]), *c[t], j)
                          for j, (c, t) in enumerate(zip(members, taken)) if t < len(c))
         seq.append(e)
         taken[j] += 1
         x -= strides[j]
-    return int(B[size - 1]), seq[::-1]
+    return seq[::-1]
 
 
 @functools.cache
@@ -232,18 +310,23 @@ def _digit_groups(radices: tuple, dtype) -> tuple:
 
 
 class _StateSpace:
-    """The class-count states of one DP, split as x = h * low + l: l counts
-    the first classes (at most LOW_STATES numbers) and h the others.  Layer
-    d is listed block by block: the rows h of high digit sum f, times the
-    low numbers of digit sum d - f, for f descending; rows and low numbers
-    are in descending order (see threshold_pass for why).  The low numbers
-    are grouped by digit sum once, so no layer is found by scanning every
-    state.  A block is (h * low for its rows, its low numbers, the least
-    cost of each row, the least and the largest cost over the block).
+    """The class-count states of a batch of DPs over the same class sizes,
+    one row of cost per member (a 1-D cost is a batch of one), split as
+    x = h * low + l: l counts the first classes (at most LOW_STATES numbers)
+    and h the others.  Layer d is listed block by block: the rows h of high
+    digit sum f, times the low numbers of digit sum d - f, for f descending;
+    a block lists its rows member by member, and rows and low numbers are
+    in descending order (see threshold_pass for why).  The low numbers are
+    grouped by digit sum once, so no layer is found by scanning every state.
+    A block is (k * states + h * low for its rows h in each member k, its
+    low numbers, the least cost of each of those rows, the least and the
+    largest cost over the block).
 
-    B is padded in front with 255s and read through one view per stride,
-    shifted so that entry x of the view is B[x - stride]: every
-    predecessor is a plain gather at x."""
+    The members' B lie end to end in one flat array, as cost's rows do, so
+    a state has the same index in both and every gather is a 1-D one.  The
+    array is padded in front with 255s and read through one view per
+    stride, shifted so that entry i of the view is B[i - stride]: every
+    predecessor is a plain gather at i."""
 
     def __init__(self, cost, classes):
         radices = tuple(len(c) + 1 for c in classes)
@@ -252,27 +335,35 @@ class _StateSpace:
         while k < len(radices) and low * radices[k] <= LOW_STATES:
             low *= radices[k]
             k += 1
-        self.cost = cost
+        self.cost = cost.reshape(-1)
+        members = self.cost.size // size
         pad = max(strides, default=0)
-        self._padded = np.empty(pad + size, dtype=np.uint8)
-        self.B = self._padded[pad:]
-        self.preds = [self._padded[pad - s:pad - s + size] for s in strides]
+        self._padded = np.empty(pad + self.cost.size, dtype=np.uint8)
+        self._flat = self._padded[pad:]
+        self.B = self._flat.reshape(members, size)
+        self.preds = [self._padded[pad - s:pad - s + self.cost.size] for s in strides]
         self.shift = np.array(strides, dtype=np.intp)[:, None] - pad
         self.chunk = max(CHUNK, size >> 7)  # states relaxed at once
         lo = _digit_groups(radices[:k], np.uint16)
         hi = _digit_groups(radices[k:], np.intp)
-        # least and largest cost of each row within each low group
-        rows = cost.reshape(-1, low)
+        # least and largest cost of each row within each low group, row
+        # k * (size / low) + h being row h of member k
+        rows = self.cost.reshape(-1, low)
         least = np.empty((rows.shape[0], len(lo)), dtype=np.uint8)
         most = np.empty_like(least)
         for g, G in enumerate(lo):
             block = rows.take(G, axis=1)
             np.minimum.reduce(block, axis=1, out=least[:, g])
             np.maximum.reduce(block, axis=1, out=most[:, g])
-        # the rows of each high digit sum f, as h * low, with their least
-        # costs and the least and largest cost over them, per low group
-        high = [(h * low, least[h], least[h].min(axis=0).tolist(), most[h].max(axis=0).tolist())
-                for h in hi]
+        # the rows of each high digit sum f in every member, as k * states
+        # + h * low, with their least costs and the least and largest cost
+        # over them, per low group
+        firsts = np.arange(0, rows.shape[0], size // low)[:, None]
+        high = []
+        for h in hi:
+            at = (firsts + h).reshape(-1)
+            rmin = least[at]
+            high.append((at * low, rmin, rmin.min(axis=0).tolist(), most[at].max(axis=0).tolist()))
         self.layers = []
         for d in range(1, len(lo) + len(hi) - 1):
             self.layers.append([(base, lo[d - f], rmin[:, d - f], bmin[d - f], bmax[d - f])
@@ -280,29 +371,34 @@ class _StateSpace:
                                 if 0 <= d - f < len(lo)][::-1])
 
     def lower_bound(self) -> int:
-        """The largest over layers d >= 1 of the least cost in layer d, since
-        every order passes through every layer."""
+        """The largest over layers d >= 1 of the least cost in layer d over
+        all members: every order passes through every layer, so it is at
+        most each member's B(full)."""
         return max((min(bmin for *_, bmin, _ in blocks) for blocks in self.layers), default=0)
 
     def threshold_pass(self, w) -> bool:
-        """One pass at threshold w (module docstring): afterwards B(x) is
-        exact where it is at most w and above w elsewhere.  False at the
-        first layer where no state has B <= w.
+        """One pass at threshold w in every member (module docstring):
+        afterwards B(x) is exact where it is at most w and above w
+        elsewhere.  False at the first layer where no state of any member
+        has B <= w.
 
-        A layer is relaxed in chunks, each read before it is written.  A
-        gather at a count c_j = 0 borrows from the next nonzero count and
-        lands in a later layer, still 255, unless class j is a singleton
-        and c_(j+1) > 0.  Then x - stride_j is in the same layer: a smaller
-        number of the same row and low group, a smaller row of the same
-        block, or, when j is the last low class, row h - 1 of the block
-        listed next.  Each comes later in the listing than x, so it is
-        still 255 too.
+        A layer, in all members, is relaxed in chunks, each read before it
+        is written.  A gather at a count c_j = 0 borrows from the
+        next nonzero count and lands in a later layer, still 255, unless
+        class j is a singleton and c_(j+1) > 0.  Then x - stride_j is in the
+        same layer: a smaller number of the same row and low group, a
+        smaller row of the same block, or, when j is the last low class, row
+        h - 1 of the block listed next.  Each comes later in the listing
+        than x, so it is still 255 too.  A borrow past the highest count
+        lands before the member's first state: in the padding, or in a state
+        of the member before with every count from c_j up full, so of a
+        later layer.
 
         Small chunks take all predecessors in one gather at computed
         indices, three numpy calls; larger ones take one gather per stride
         through its view of B, which builds no index array."""
         self._padded.fill(255)
-        self.B[0] = 0
+        self.B[:, 0] = 0
         got = np.empty((len(self.preds), self.chunk), dtype=np.uint8)
         for blocks in self.layers:
             reached = False
@@ -321,7 +417,7 @@ class _StateSpace:
                         pred.take(idx, out=buf[j])
                     best = np.minimum.reduce(buf)
                 np.maximum(best, c, out=best)
-                self.B[idx] = best
+                self._flat[idx] = best
                 reached = reached or int(np.minimum.reduce(best)) <= w
             if not reached:
                 return False
@@ -353,19 +449,74 @@ def pathwidth_exact(M: VectorMatroid) -> WidthCertificate:
     if M.size == 0:
         return WidthCertificate(0, (), ())
     classes = parallel_classes(M)
-    strides, states = _strides(classes)
-    check_budget(1 << len(classes), states)
+    check_budget(1 << len(classes), _strides(classes)[1])
     lam = _class_lambdas(M, classes)
     width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]))
-    # the certificate's lambdas come from elimination, so the table that
-    # produced the width cannot vouch for itself
-    cert = width_of_ordering(M, [M.labels[i] for i in order])
-    stride_of = {i: strides[j] for j, c in enumerate(classes) for i in c}
+    return _certified(M, lam, classes, width, order)
+
+
+def single_element_minors(M: VectorMatroid) -> list:
+    """(label, "delete" or "contract", certificate) of M \\ e and M / e for
+    every element e, in column order, the deletion first: optimal widths
+    and orderings from batched DP calls on lambda read from M's class ranks,
+    each certified by elimination on M's columns (module docstring).
+    Refused by `check_budget` as `pathwidth_exact(M)` is, and by nothing
+    else: a batch holds at most as many states as M's own DP, or
+    BATCH_STATES when that is more."""
+    classes = parallel_classes(M)
+    _, states = _strides(classes)
+    check_budget(1 << len(classes), states)
+    head, tail = _class_ranks(M, classes)
+    # the minors of each shape of class sizes, with e's class j and the
+    # minor's classes, the parent's with e removed
+    groups = {}
+    for j, c in enumerate(classes):
+        for e in c:
+            rest = [d for d in ([i for i in d if i != e] for d in classes) if d]
+            for op in ("delete", "contract"):
+                groups.setdefault(tuple(map(len, rest)), []).append((e, op, j, rest))
+    certs = {}
+    for group in groups.values():
+        size = _strides(group[0][3])[1]
+        per = max(states, BATCH_STATES) // size
+        for start in range(0, len(group), per):
+            part = group[start:start + per]
+            check_budget(1 << len(classes), len(part) * size)
+            lam = np.empty((len(part), size), dtype=np.uint8)
+            for row, (e, op, j, _) in zip(lam, part):
+                # S + e holds one more of e's class j (axis J - 1 - j) than
+                # S, and E' - S = E - (S + e): delete reads r(S) + r(E - (S
+                # + e)), contract r(S + e) + r(E - S), each less its value
+                # at S = 0, r(E') or r(e) + r(E)
+                axis = len(classes) - 1 - j
+                count, one_more = (slice(None),) * axis + (slice(-1),), (slice(None),) * axis + (slice(1, None),)
+                h, t = (head[count], tail[one_more]) if op == "delete" else (head[one_more], tail[count])
+                np.add(h, t, out=row.reshape(h.shape))
+                row -= row[0]
+            solved = prefix_dp(lam, [rest for *_, rest in part], lambda i: label_key(M.labels[i]))
+            for (e, op, _, rest), row, (width, order) in zip(part, lam, solved):
+                contracted = M.columns[e] if op == "contract" else None
+                certs[e, op] = _certified(M, row, rest, width, order, contracted)
+    return [(M.labels[e], op, certs[e, op]) for e in range(M.size) for op in ("delete", "contract")]
+
+
+def _certified(M: VectorMatroid, lam, classes, width, order, contracted=None) -> WidthCertificate:
+    """The certificate of a DP answer (width, order) on M, or on M / e with
+    contracted the column of e: the order's prefix lambdas by elimination
+    on M's columns, checked entry by entry against the DP's lambda lam over
+    classes and in their largest against width, so the table that
+    produced the width cannot vouch for itself."""
+    if sorted(order) != sorted(i for c in classes for i in c):
+        raise AssertionError(f"DP order {order} is not a permutation of its classes")
+    lambdas = _prefix_lambdas(M.field, [M.columns[i] for i in order], contracted)
+    strides, _ = _strides(classes)
+    stride_of = {i: s for s, c in zip(strides, classes) for i in c}
     x = 0
-    for i, lam_i in zip(order, cert.prefix_lambdas):
+    for i, lam_i in zip(order, lambdas):
         x += stride_of[i]
         if lam[x] != lam_i:
             raise AssertionError(f"rank table gives lambda {lam[x]} for a prefix, elimination {lam_i}")
+    cert = WidthCertificate(max(lambdas, default=0), tuple(M.labels[i] for i in order), lambdas)
     if width != cert.width:
         raise AssertionError(f"DP width {width} but the ordering has width {cert.width}")
     return cert

@@ -24,8 +24,8 @@ from .graph import (
     mk_graph,
     validate_path_decomposition,
 )
-from .matroid import VectorMatroid, apply_minor, direct_sum, dual, MinorSpec
-from .pathwidth import caterpillar, branch_width_of_tree, pathwidth_exact, width_of_ordering
+from .matroid import VectorMatroid, direct_sum, dual
+from .pathwidth import caterpillar, branch_width_of_tree, pathwidth_exact, single_element_minors, width_of_ordering
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -120,17 +120,12 @@ def check_minor_monotonicity(samples=200, seed=11, n_max=9, qs=(2, 3)) -> dict:
         n = int(rng.integers(2, n_max + 1))
         M = random_matroid(field, n, rng)
         pw = pathwidth_exact(M).width
-        for lbl in M.labels:
-            for op, spec in (
-                ("delete", MinorSpec(frozenset(), frozenset([lbl]))),
-                ("contract", MinorSpec(frozenset([lbl]), frozenset())),
-            ):
-                sub = pathwidth_exact(apply_minor(M, spec)).width
-                if sub > pw:
-                    violations.append(
-                        {"sample": i, "op": op, "element": str(lbl), "pw": pw, "pw_minor": sub,
-                         **_matroid_doc(M)}
-                    )
+        for lbl, op, cert in single_element_minors(M):
+            if cert.width > pw:
+                violations.append(
+                    {"sample": i, "op": op, "element": str(lbl), "pw": pw, "pw_minor": cert.width,
+                     **_matroid_doc(M)}
+                )
     return _report("minor-monotone", violations, samples, seed=seed, n_max=n_max, qs=list(qs))
 
 
