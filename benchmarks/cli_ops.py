@@ -8,9 +8,9 @@ workload at seed 1 or 2 (124 cases).  Its input files are made by the
 workload's own code (`mwbench/workloads.py`, imported and never written
 to) in a temporary directory, and named by paths relative to it, so no
 output depends on where that directory is.  Every case is measured for
-every tree by the shared child harness (`harness.py`: best of 3 runs and
-the tracemalloc peak of one more, in a fresh interpreter per tree and
-case).  The answer is the sha256 of the exit code, stdout and stderr of
+every tree by the shared child harness (`harness.py`: best of 3 runs
+after a warm-up and the tracemalloc peak of one more, in a fresh
+interpreter per tree and case).  The answer is the sha256 of the exit code, stdout and stderr of
 the operation, so `answers_agree` holds exactly when both trees print the
 same bytes and exit alike.
 """

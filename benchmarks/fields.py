@@ -3,8 +3,9 @@
     python3 benchmarks/fields.py --src before=../parent/src --src after=src --out BENCH.json
 
 One case per prime power q <= 256 (70 of them), measured for every tree by
-the shared child harness (`harness.py`: best of 3 runs and the tracemalloc
-peak of one more, in a fresh interpreter per tree and field).  One run
+the shared child harness (`harness.py`: best of 3 runs after a warm-up
+and the tracemalloc peak of one more, in a fresh interpreter per tree and
+field).  One run
 builds GF(q) afresh (the field cache cleared) max(1, 2^16 / q^2)
 times and reports the mean, so that the small fields are timed over
 milliseconds.  The answer is the sha256 of the reduction polynomial, the

@@ -12,14 +12,16 @@ every side sees about the same machine state.
 A runner takes the case's --one arguments and returns a no-argument
 function that runs the case once and returns (seconds, answer), with any
 set-up done before it is returned.  Per case and tree the JSON written to
---out holds the best and all of REPEATS wall times, the child's peak RSS
-(`ru_maxrss`, which includes the interpreter and numpy), the tracemalloc
-peak in MB of one further run (taken apart from the timed runs, which it
-would slow) and the answer, which must agree between the trees that
-recorded one (`answers_agree`); and the machine.  A case is skipped, and
-recorded with the reason, when its first run takes longer than TIME_CAP
-seconds (an interval timer interrupts it; an interpreter still running
-after 4 * TIME_CAP is stopped).
+--out holds the best and all of REPEATS wall times, taken after one
+untimed warm-up run so that none pays a fresh interpreter's first-run
+costs, the child's peak RSS (`ru_maxrss`, which includes the interpreter
+and numpy), the tracemalloc peak in MB of one further run (taken apart
+from the timed runs, which it would slow) and the answer, which must
+agree between the trees that recorded one (`answers_agree`); and the
+machine.  A case is skipped, and recorded with the reason, when its
+first run, the warm-up, takes longer than TIME_CAP seconds (an interval
+timer interrupts it; an interpreter still running after 4 * TIME_CAP is
+stopped).
 """
 
 from __future__ import annotations
@@ -52,16 +54,18 @@ def _overtime(signum, frame):
 def measure_here(runner, args) -> dict:
     """The case's result, measured in this interpreter."""
     run = runner(*args)
-    runs = []
     signal.signal(signal.SIGALRM, _overtime)
     signal.setitimer(signal.ITIMER_REAL, TIME_CAP)
     try:
-        for _ in range(REPEATS):
-            secs, answer = run()
-            runs.append(secs)
-            signal.setitimer(signal.ITIMER_REAL, 0)
+        run()  # the warm-up, untimed
     except Overtime:
         return {"skipped": f"first run > {TIME_CAP:.0f} s"}
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    runs = []
+    for _ in range(REPEATS):
+        secs, answer = run()
+        runs.append(secs)
     tracemalloc.start()
     run()
     traced = tracemalloc.get_traced_memory()[1]

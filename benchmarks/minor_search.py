@@ -3,8 +3,9 @@
     python3 benchmarks/minor_search.py --src before=../parent/src --src after=src --out BENCH.json
 
 Every case below is measured for every tree by the shared child harness
-(`harness.py`: best of 3 runs and the tracemalloc peak of one more, in a
-fresh interpreter per tree and case, the trees taking turns).  Cases:
+(`harness.py`: best of 3 runs after a warm-up and the tracemalloc peak of
+one more, in a fresh interpreter per tree and case, the trees taking
+turns).  Cases:
 
 - "minor": `minor_contains` on the GF(3) cycle matroids of the 5-spoke
   wheel, K33, the 5-fan, K25 and C9 (the hosts of the `check-minor`

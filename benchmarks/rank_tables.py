@@ -3,8 +3,9 @@
     python3 benchmarks/rank_tables.py --src before=../parent/src --src after=src --out BENCH.json
 
 `VectorMatroid.rank_table()` of every tree is measured on every input
-below by the shared child harness (`harness.py`: best of 3 runs in a
-fresh interpreter per tree and input, the trees taking turns).  One run
+below by the shared child harness (`harness.py`: best of 3 runs after a
+warm-up, in a fresh interpreter per tree and input, the trees taking
+turns).  One run
 builds the table of a fresh matroid max(1, 2^16 / 2^n) times and reports
 the mean, so that tables of a few hundred entries are timed over
 milliseconds.  Inputs, each a seeded [n, k] code over GF(q):
@@ -15,8 +16,12 @@ milliseconds.  Inputs, each a seeded [n, k] code over GF(q):
   on both sides of the rule that once chose between counting codewords
   and sweeping;
 - "small": the shapes of the minor search's tables, 6 to 10 elements over
-  GF(2), GF(3) and GF(4);
-- "low-rank": [20, 4] codes, whose q^4 codewords were cheap to count.
+  GF(2), GF(3) and GF(4), and [8, 2] over GF(2^8), the smallest byte-field
+  table;
+- "low-rank": [20, 4] codes, whose q^4 codewords were cheap to count;
+- "tw-codes": the byte-field shapes of mwbench's tw-codes workload, [15, 7]
+  and [15, 8] over GF(5), [16, 6] over GF(16) and [16, 8] over GF(17), and
+  [16, 8] over GF(9), whose sum is neither an XOR nor an integer sum mod p.
 
 The answer is the sum of the table, which must agree between trees.
 """
@@ -34,8 +39,9 @@ CROSSOVER = [
     (8, 16, 6), (8, 14, 6), (5, 15, 7), (5, 13, 7), (17, 14, 4), (17, 16, 4),
 ]
 SMALL = [(3, 8, 4), (3, 9, 5), (3, 9, 8), (3, 10, 5), (3, 10, 6), (4, 6, 3), (4, 7, 3), (4, 10, 4),
-         (4, 10, 6), (2, 8, 4), (2, 10, 5)]
+         (4, 10, 6), (2, 8, 4), (2, 10, 5), (256, 8, 2)]
 LOW_RANK = [(q, 20, 4) for q in (3, 4, 5, 16)]
+TW_CODES = [(5, 15, 7), (5, 15, 8), (16, 16, 6), (17, 16, 8), (9, 16, 8)]
 
 
 def runner(q: str, n: str, k: str):
@@ -67,7 +73,7 @@ def runner(q: str, n: str, k: str):
 
 CASES = [({"group": group, "q": q, "n": n, "k": k}, (q, n, k))
          for group, inputs in (("grid", GRID), ("crossover", CROSSOVER), ("small", SMALL),
-                               ("low-rank", LOW_RANK))
+                               ("low-rank", LOW_RANK), ("tw-codes", TW_CODES))
          for q, n, k in inputs]
 
 if __name__ == "__main__":

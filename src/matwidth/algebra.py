@@ -292,12 +292,13 @@ def identity_matrix(field: FieldSpec, n: int) -> GfMatrix:
 # An echelon basis is a sequence of rows, each led by a 1 (its pivot, found
 # as row.index(1)) and zero at the pivots of the rows before it.  Every rank,
 # span and reduced form in the package is built from the two steps below, or
-# from their batched forms on numpy arrays: `reduce_batch`, the forward step
-# against one row per batch entry, and `unit_rows`; over GF(2), GF(3) and
-# GF(4) the rank-table sweep takes the same step on bitsliced words
-# (`matroid._word_step`).
+# from their batched forms on numpy arrays, the rank-table sweep's steps
+# against one row per subset: on bitsliced words over GF(2), GF(3) and GF(4)
+# (`matroid._word_step`) and on bytes over every other field
+# (`matroid._byte_step`).
 # Subtracting c times a row y from x reads m = mul_table[-c] once and then
-# add_table[x][m[y]] per entry.
+# add_table[x][m[y]] per entry; the byte step likewise reads each residue's
+# multiplier once and then one product and one sum per entry.
 
 
 def _unit_row(field: FieldSpec, v):
@@ -330,33 +331,6 @@ def echelon_push(field: FieldSpec, basis: list, v) -> None:
     row = _unit_row(field, reduce_vector(field, basis, v))
     if row is not None:
         basis.append(row)
-
-
-def reduce_batch(field: FieldSpec, rows, leads, vs) -> np.ndarray:
-    """`reduce_vector` against a one-row basis, for a batch of N of them.
-
-    rows (m, N) hold N uint8 rows down their columns, each leading with 1
-    at its entry leads (N,), as `unit_rows` returns them; vs (m, L, N)
-    holds L vectors per row, likewise.  Returns the (m, L, N) residues:
-    each vector less c times its row, c its entry at the row's lead, as
-    add[x, mul[neg[c], y]] through flat table gathers at uint16 indices
-    (q^2 <= 65536)."""
-    q = np.uint16(field.q)
-    add, mul = field.add_array.ravel(), field.mul_array.ravel()
-    c = np.take_along_axis(vs, leads[None, None], axis=0)
-    step = mul[field.neg_array[c] * q + rows[:, None]]
-    idx = vs * q
-    idx += step
-    return add[idx]
-
-
-def unit_rows(field: FieldSpec, rows) -> tuple:
-    """`_unit_row` for a batch of uint8 rows held down the columns of rows
-    (m, N): the rows scaled so that each leads with 1, and the index of
-    that 1 in each.  A zero row stays zero."""
-    lead = (rows != 0).argmax(axis=0)
-    c = np.take_along_axis(rows, lead[None], axis=0)
-    return field.mul_array.ravel()[field.inv_array[c] * np.uint16(field.q) + rows], lead
 
 
 def rank(A: GfMatrix) -> int:

@@ -41,8 +41,11 @@ residue and the step depend on the field (`_encode`, `_word_step`,
 - GF(4): two uint16 planes, of the coefficients of 1 and of x in
   c0 + c1 x, with x^2 = x + 1; the step is XOR, as over GF(2), of the
   head scaled by the residue's entry over the head's.
-- every other field: one byte an entry, the head scaled by
-  `algebra.unit_rows` and pivoted out by `algebra.reduce_batch`.
+- every other field: one byte an entry; each residue's multiplier
+  -e / c (e its entry at the head's pivot, c the head's) is read once,
+  then one product gather mul[multiplier, head entry] per entry and the
+  sum, an XOR in characteristic 2 and an add-table gather otherwise, in
+  slices of at most SLICE_ENTRIES = 2^13 entries.
 
 Only the low a = min(n, 16) elements are doubled, so at most
 CHUNK_WORDS = 2^16 subsets are in flight, with at most 2^(a-1) residues
@@ -50,13 +53,13 @@ after a step; each subset H of the other n - a elements seeds one
 doubling with the low columns reduced modulo span(H) and fills the block
 [H * 2^a, (H + 1) * 2^a).  The working set is the uint8 table plus the
 residues of one block: tracemalloc peaks 0.3 MB over the 1 MB table for
-a [20, 8] code over GF(2), 0.8 MB over it over GF(4) and 0.6 MB over it
+a [20, 8] code over GF(2), 0.8 MB over it over GF(4) and 0.5 MB over it
 for a [20, 3] code over GF(17).
 
 All elimination (spans, ranks, the contraction in `apply_minor`) is the
-kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step
-and their batched forms `reduce_batch` / `unit_rows` for the byte sweep;
-the word steps are its bitsliced forms, checked against `reduce_vector`.
+kernel in `algebra`: `reduce_vector` / `echelon_push` for the forward step;
+the sweep's word and byte steps are its batched forms, checked against
+`reduce_vector`.
 `apply_minor` builds a new matrix for callers that need a matroid, and
 when the parent holds a rank table it reads the minor's table off it by
 r_{M/X\\Y}(S) = r_M(S + X) - r_M(X) instead of building one.  The minor
@@ -97,8 +100,9 @@ ISO_MAX_GROUND = 12
 # needed, so that every input refused before is refused now
 TABLE_BYTES, STATE_BYTES = 6, 4
 EXACT_BYTES = (TABLE_BYTES + STATE_BYTES) << 24
-# the sweep doubles at most CHUNK_WORDS subsets at a time
-CHUNK_WORDS = 1 << 16
+# the sweep doubles at most CHUNK_WORDS subsets at a time, and the byte
+# step gathers at most SLICE_ENTRIES residue entries at a time
+CHUNK_WORDS, SLICE_ENTRIES = 1 << 16, 1 << 13
 
 
 class GroundSetTooLarge(ValueError):
@@ -390,11 +394,34 @@ def _word_step(field, res, out) -> None:
 
 
 def _byte_step(field, res, out) -> None:
-    """`_word_step` on byte planes (m, R + 1, N): the head scaled to lead
-    with 1 (`algebra.unit_rows`; a zero head stays zero) and one batched
-    one-row step (`algebra.reduce_batch`)."""
-    rows, lead = algebra.unit_rows(field, res[:, 0])
-    out[...] = algebra.reduce_batch(field, rows, lead, res[:, 1:])
+    """`_word_step` on byte planes (m, R + 1, N), one byte an entry.  The
+    pivot is the head's first nonzero entry c; a residue whose entry there
+    is e adds g * head, g = -e / c = e * (-1 / c), its multiplier, read once
+    per residue, (R, N) in all.  Then one product gather mul[g, y] per
+    entry, y the head's, and the sum x + mul[g, y] with x the residue's:
+    an XOR in characteristic 2, a gather of add otherwise.  The gathers
+    index the flat tables at g * q + y < q^2 <= 65536 (uint16).  A zero
+    head has c = 0, whose inverse in the field's table is 0, so g = 0 and
+    the residues are unchanged.  np.take copies its indices to intp, so the
+    subsets go in slices of at most SLICE_ENTRIES entries."""
+    m, R, N = out.shape
+    q = np.uint16(field.q)
+    add, mul = field.add_array.ravel(), field.mul_array.ravel()
+    head, rest = res[:, 0], res[:, 1:]
+    lead = (head != 0).argmax(axis=0)[None]
+    neg_inv = field.neg_array[field.inv_array[np.take_along_axis(head, lead, axis=0)]]
+    gq = mul[np.take_along_axis(rest, lead[None], axis=0)[0] * q + neg_inv] * q
+    width = max(1, SLICE_ENTRIES // (m * R))
+    for lo in range(0, N, width):
+        part = slice(lo, lo + width)
+        idx = gq[:, part] + head[:, None, part]
+        prod = mul.take(idx)
+        if field.p == 2:
+            np.bitwise_xor(rest[:, :, part], prod, out=out[:, :, part])
+        else:
+            np.multiply(rest[:, :, part], q, out=idx)
+            idx += prod
+            add.take(idx, out=out[:, :, part])
 
 
 def _bit_positions(mask: int):

@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matwidth import field_new
 from matwidth.algebra import identity_matrix, rank_of_columns
 from matwidth.graph import MultiGraph, complete_graph, cycle_graph, cycle_matroid
 from matwidth.matroid import (
@@ -521,6 +524,35 @@ def test_pw_duality_random():
     for _ in range(20):
         M = random_matroid(rng, GF3 if rng.integers(2) else GF2, int(rng.integers(2, 10)))
         assert pathwidth_exact(M).width == pathwidth_exact(dual(M)).width
+
+
+@st.composite
+def byte_field_matroids(draw):
+    """Matroids of up to 9 elements over byte fields (q > 4), with loops and
+    columns parallel to earlier ones drawn often."""
+    field = draw(st.sampled_from([GF5, field_new(3, 2), field_new(2, 4), field_new(17)]))
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    entry = st.integers(0, field.q - 1)
+    cols = []
+    for j in range(n):
+        kind = draw(st.sampled_from(["random", "loop", "parallel"] if j else ["random", "loop"]))
+        if kind == "random":
+            cols.append(draw(st.lists(entry, min_size=k, max_size=k)))
+        elif kind == "loop":
+            cols.append([0] * k)
+        else:
+            src, c = draw(st.sampled_from(cols)), draw(st.integers(1, field.q - 1))
+            cols.append([field.mul(c, x) for x in src])
+    return matroid(field, [[col[i] for col in cols] for i in range(k)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(byte_field_matroids())
+def test_pw_duality_property_on_byte_fields(M):
+    # both table routes (the code's rank at most n/2 and above it) and the
+    # elimination certificate, on byte residues
+    assert pathwidth_exact(M).width == pathwidth_exact(dual(M)).width
 
 
 def test_pw_direct_sum_rule_examples():

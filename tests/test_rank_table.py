@@ -6,8 +6,8 @@ over every field family, both encodings of a residue (word planes over
 GF(2), GF(3) and GF(4), bytes otherwise) and both routes (the code itself
 when k <= n - k, its dual otherwise).  Past 16 elements, where the sweep
 runs one doubling per subset of the high elements, elimination is checked
-on seeded masks of every block.  Each one-row step is checked against
-`reduce_vector`.
+on seeded masks of every block.  Each one-row step, on words and on
+bytes, is checked against `reduce_vector`.
 """
 
 import tracemalloc
@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matwidth import field_new
-from matwidth.algebra import (GfMatrix, identity_matrix, rank_of_columns, reduce_batch,
-                              reduce_vector, unit_rows)
-from matwidth.matroid import CHUNK_WORDS, VectorMatroid, _encode, _sweep_ranks, _word_step
+from matwidth.algebra import GfMatrix, identity_matrix, rank_of_columns, reduce_vector
+from matwidth.matroid import (CHUNK_WORDS, SLICE_ENTRIES, VectorMatroid, _byte_step, _encode,
+                              _sweep_ranks, _word_step)
 from matwidth.pathwidth import pathwidth_exact
 from util import (GF2, GF3, GF4, GF5, GF256, REF_FIELDS, matroid, ref_random_rows,
                   ref_rank_table)
 
+GF9 = field_new(3, 2)
 GF16 = field_new(2, 4)
 GF17 = field_new(17)
 
@@ -119,32 +120,44 @@ def test_pathwidth_refuses_a_forged_rank_table():
         pathwidth_exact(M)
 
 
-@pytest.mark.parametrize("field", [f for f, _ in REF_FIELDS], ids=str)
-def test_reduce_batch_matches_reduce_vector(field):
-    # N nonzero rows scaled by unit_rows, leading at every position, each
-    # pivoted out of L vectors at once, as the sweep pivots a residue out
-    # of the later residues, against the scalar kernel with the row as basis
-    m, N, L = 5, 40, 3
+BYTE_FIELDS = [f for f, _ in REF_FIELDS if f.q > 4] + [GF9, GF16, GF17]
+
+
+@pytest.mark.parametrize("field", BYTE_FIELDS, ids=str)
+def test_byte_step_matches_reduce_vector(field):
+    # N heads, zero heads and heads that lead with each nonzero value at
+    # every position, each pivoted out of L residues at once (every fifth
+    # residue a multiple of its head), in more than one slice, against the
+    # scalar kernel with the head scaled to lead with 1 as basis; a zero
+    # head changes nothing, and every residue is zero at its head's pivot
+    m, N, L, Z = 6, 1800, 4, 200
+    assert N - Z >= m * (field.q - 1) and N > SLICE_ENTRIES // (m * L)
     rng = np.random.default_rng(900 + field.q)
-    nonzero = np.array(ref_random_rows(field, N, m, rng), dtype=np.uint8)
+    heads = np.array(ref_random_rows(field, N, m, rng), dtype=np.uint8)
     for t in range(N):
-        nonzero[t, : t % m] = 0
-        nonzero[t, t % m] = max(nonzero[t, t % m], 1)
-    # the batch forms hold vectors down their columns: rows (m, N), vs (m, L, N)
-    rows, lead = unit_rows(field, nonzero.T)
-    rows = rows.T
-    assert set(lead.tolist()) == set(range(m))
-    for row, p, r in zip(rows.tolist(), lead.tolist(), nonzero.tolist()):
-        assert row.index(1) == p and all(row[i] == 0 for i in range(p))
-        assert reduce_vector(field, [tuple(row)], r) == [0] * m
+        heads[t, : t % m] = 0
+        heads[t, t % m] = 1 + t // m % (field.q - 1)
+    heads[-Z:] = 0
     vs = np.array(ref_random_rows(field, N * L, m, rng), dtype=np.uint8).reshape(N, L, m)
-    vs[::7, 0] = nonzero[::7]  # some vectors in the span
-    residues = reduce_batch(field, rows.T, lead, vs.transpose(2, 1, 0)).transpose(2, 1, 0)
-    expect = [[reduce_vector(field, [tuple(row)], v) for v in block.tolist()]
-              for row, block in zip(rows.tolist(), vs)]
-    assert residues.tolist() == expect
-    assert not residues[::7, 0].any()
-    assert not residues[np.arange(N), :, lead].any()
+    vs[::5, 0] = field.mul_array[1 + np.arange(0, N, 5)[:, None] % (field.q - 1), heads[::5]]
+    vectors = np.concatenate([heads[:, None], vs], axis=1)  # (N, L + 1, m)
+    res = np.stack([_encode(field, block) for block in vectors], axis=-1)
+    assert res.dtype == np.uint8 and res.shape == (m, L + 1, N)
+    out = np.empty_like(res[:, 1:])
+    _byte_step(field, res, out)
+    got = out.transpose(2, 1, 0)
+    lead = (heads != 0).argmax(axis=1)
+    for t in range(N):
+        head = heads[t].tolist()
+        c = head[lead[t]]
+        basis = [tuple(field.mul(field.inv(c), x) for x in head)] if c else []
+        assert got[t].tolist() == [reduce_vector(field, basis, v) for v in vs[t].tolist()], t
+        if c:
+            assert not got[t, :, lead[t]].any(), t
+    assert (got[-Z:] == vs[-Z:]).all()
+    assert not got[::5, 0].any()
+    assert {(p, heads[t, p]) for t, p in enumerate(lead[:-Z])} == {
+        (p, v) for p in range(m) for v in range(1, field.q)}
 
 
 def decode(planes: np.ndarray, m: int) -> np.ndarray:
@@ -274,7 +287,7 @@ def test_sweep_matches_elimination_past_one_block(field, n, m):
 
 @st.composite
 def small_matrices(draw):
-    field = draw(st.sampled_from([GF2, GF3, GF4, GF5, GF16]))
+    field = draw(st.sampled_from([GF2, GF3, GF4, GF5, GF9, GF16, GF17, GF256]))
     n = draw(st.integers(0, 8))
     rows = draw(st.integers(0, n + 1))
     entries = draw(st.lists(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n),
