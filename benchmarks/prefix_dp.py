@@ -24,9 +24,13 @@ turns).  Inputs:
   fresh matroid for each run;
 - "graph": `graph_pathwidth` on the seeded graph of n = 16, 20 and 22
   vertices and 2n edges (`verify.random_graph` drawn from
-  `verify.rng_for(n)`): the vertex-boundary costs and the same DP.
+  `verify.rng_for(n)`): the vertex-boundary costs and the same DP;
+- "reduce": `cli.main(["reduce", G, "--verify"])` end to end, output
+  silenced, on the graph files of P6, K23, C6, C7, K4 and K5: parsing,
+  the reduction, graph pathwidth and the matroid's exact pathwidth.
 
-The answer (width and ordering) must agree between trees.
+The answer (width and ordering; for "reduce" the exit code and the
+"verify" block) must agree between trees.
 """
 
 from __future__ import annotations
@@ -37,21 +41,27 @@ import time
 import harness
 
 APEX = ("P6", "K23", "C6", "K4", "K5")
+REDUCE = ("P6", "K23", "C6", "C7", "K4", "K5")
 DP_SIZES = (20, 22, 24)
 LAMBDA_TABLES = ("gf2-17-8", "mds17-16-8")
 GRAPH_SIZES = (16, 20, 22)
 
 
+def _graph(name: str):
+    """The named graph."""
+    from matwidth.graph import complete_bipartite, complete_graph, cycle_graph, path_graph
+
+    return {"P6": lambda: path_graph(6), "K23": lambda: complete_bipartite(2, 3),
+            "C6": lambda: cycle_graph(6), "C7": lambda: cycle_graph(7), "K4": lambda: complete_graph(4),
+            "K5": lambda: complete_graph(5)}[name]()
+
+
 def _apex_matroid(name: str):
     """A function building a fresh apex matroid of the named graph."""
     from matwidth.algebra import field_from_order
-    from matwidth.graph import complete_bipartite, complete_graph, cycle_graph, path_graph
     from matwidth.reduction import add_apex, apex_matroid, simplify_double
 
-    G = {"P6": lambda: path_graph(6), "K23": lambda: complete_bipartite(2, 3),
-         "C6": lambda: cycle_graph(6), "K4": lambda: complete_graph(4),
-         "K5": lambda: complete_graph(5)}[name]()
-    A, field = add_apex(simplify_double(G)), field_from_order(2)
+    A, field = add_apex(simplify_double(_graph(name))), field_from_order(2)
     return lambda: apex_matroid(A, field)
 
 
@@ -96,6 +106,30 @@ def runner(group: str, arg: str):
             return time.perf_counter() - start, [cert.width, list(cert.ordering)]
 
         return run
+    if group == "reduce":
+        import atexit
+        import contextlib
+        import io
+        import json
+        import os
+        import tempfile
+
+        from matwidth import cli
+        from matwidth.graph import graph_to_text
+
+        fd, path = tempfile.mkstemp(suffix=".graph")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(graph_to_text(_graph(arg)))
+        atexit.register(os.unlink, path)
+
+        def run():
+            out = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["reduce", path, "--verify"])
+            return time.perf_counter() - start, [code, json.loads(out.getvalue())["verify"]]
+
+        return run
     if group == "graph":
         from matwidth.graph import graph_pathwidth
         from matwidth.verify import random_graph, rng_for
@@ -130,7 +164,7 @@ def runner(group: str, arg: str):
     return run
 
 
-INPUTS = {"apex": APEX, "dp": [str(n) for n in DP_SIZES], "lam": LAMBDA_TABLES, "golay": ["golay"],
+INPUTS = {"apex": APEX, "reduce": REDUCE, "dp": [str(n) for n in DP_SIZES], "lam": LAMBDA_TABLES, "golay": ["golay"],
           "graph": [str(n) for n in GRAPH_SIZES]}
 CASES = [({"group": group, "input": arg}, (group, arg)) for group in INPUTS for arg in INPUTS[group]]
 

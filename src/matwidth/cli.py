@@ -67,8 +67,10 @@ def cmd_reduce(args) -> CommandResult:
     summary = f"reduced {G.vertex_count}-vertex graph to {M.size} matroid elements"
     status = OK
     if args.verify:
-        pw_g, _ = graph.graph_pathwidth(G)
-        pw_m = pathwidth_exact(M).width
+        pw_g, D = graph.graph_pathwidth(G)
+        # D's ordering through the reduction has width pw(G) + 1 at most, so
+        # the DP only has to rule out pw(M) <= pw(G)
+        pw_m = pathwidth_exact(M, upper=reduction.decomp_to_ordering(A, D)).width
         payload["verify"] = {"pw_graph": pw_g, "pw_matroid": pw_m, "identity": pw_m == pw_g + 1}
         summary += f"; pw {pw_m} = {pw_g} + 1" if pw_m == pw_g + 1 else "; IDENTITY VIOLATED"
         if pw_m != pw_g + 1:

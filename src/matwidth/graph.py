@@ -113,12 +113,13 @@ class PathDecomposition:
 
 
 def validate_path_decomposition(G: MultiGraph, D: PathDecomposition) -> int:
-    """Check conditions (i)-(iii) and return the width max|V_i| - 1."""
+    """Check conditions (i)-(iii) and return the width max|V_i| - 1, which
+    is -1 for the null graph (max over no bags, or over empty ones)."""
     bags = D.bags
     n = G.vertex_count
     if not bags:
         if n == 0:
-            return 0
+            return -1
         raise NotADecomposition("condition (i): no bags but graph has vertices")
     for b in bags:
         for v in b:
@@ -144,12 +145,13 @@ def validate_path_decomposition(G: MultiGraph, D: PathDecomposition) -> int:
 
 def graph_pathwidth(G: MultiGraph) -> tuple:
     """Exact pw(G) and a witnessing decomposition, via the vertex-separation
-    subset DP; parallel edges and loops cannot affect the value.  Refused
-    by `check_budget` for its 2^n states (module docstring)."""
+    subset DP; parallel edges and loops cannot affect the value.  The null
+    graph has pathwidth -1 and no bags.  Refused by `check_budget` for its
+    2^n states (module docstring)."""
     n = G.vertex_count
     check_budget(0, 1 << n)
     if n == 0:
-        return 0, PathDecomposition(())
+        return -1, PathDecomposition(())
     adj = G.adjacency_masks()
     vs_value, layout = prefix_dp(_boundary(adj, n), n, lambda v: v)
     bags = []

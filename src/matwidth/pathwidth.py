@@ -41,6 +41,21 @@ relaxed; a layer row whose least cost exceeds w is never listed, and a
 block of rows whose largest cost is at most w is relaxed without a cost
 test (`_StateSpace`).
 
+A caller that knows an upper bound u on B(full), the width of some
+ordering, passes `upper=u`, and the DP only decides whether B(full) is at
+most u - 1.  It runs no pass when the layer bound already reaches u, for
+then B(full) = u, and otherwise one pass at u - 1.  The lower side of the
+answer rests on the same argument as above: a pass at w fails to reach
+the full state exactly when B(full) > w, so a member that pass does not
+reach has B(full) = u, and gets no order; the caller keeps its own.  A
+member it reaches is walked back as after the pass at B(full): B is exact
+wherever it is at most u - 1, which covers every value that wins or ties
+on the walk, so the tie rule picks the same order.  `pathwidth_exact`
+takes the ordering, not its width, and computes the width by elimination,
+so no caller can vouch for a width; `reduce --verify` passes the ordering
+that `reduction.decomp_to_ordering` reads off the graph's optimal path
+decomposition, of width at most pw(G) + 1.
+
 The back-walk removes, from the winning class, its remaining member with
 the smallest tie key.  Within a class every member gives the same
 B(S - e), so this is the subset DP's tie rule: the e with smallest
@@ -91,6 +106,7 @@ with no table and 2^n states.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -231,7 +247,7 @@ def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
     return lam.reshape(-1)
 
 
-def prefix_dp(cost: np.ndarray, classes, tie_key):
+def prefix_dp(cost: np.ndarray, classes, tie_key, upper=None):
     """The layered DP B(x) = max(cost[x], min over j of B[x - stride_j]),
     B(0) = 0, over class-count states x (module docstring), and an optimal
     order of the elements walked back to front from the full state.
@@ -251,7 +267,13 @@ def prefix_dp(cost: np.ndarray, classes, tie_key):
     member, and the result is a list of one (B(full state), order) per
     member.  A single cost table is a batch of one.  The members share the
     passes (module docstring); a member whose full state a pass reaches is
-    walked back at once."""
+    walked back at once.
+
+    upper, when given, is a width u that every member's B(full state) is
+    known to be at most.  Then the DP runs no pass when the layer bound
+    reaches u, and otherwise one pass at u - 1; a member whose full state
+    that pass does not reach gets (u, None), with no order (module
+    docstring)."""
     lone = cost.ndim == 1
     if lone:
         classes = [classes]
@@ -259,16 +281,18 @@ def prefix_dp(cost: np.ndarray, classes, tie_key):
     strides, size = _strides(classes[0])
     space = _StateSpace(cost, classes[0])
     w = space.lower_bound()
-    out = [None] * len(classes)
+    passes = itertools.count(w) if upper is None else [upper - 1] if w < upper else []
+    out = [(upper, None)] * len(classes)
     pending = list(range(len(classes)))
-    while pending:
+    for w in passes:
+        if not pending:
+            break
         if space.threshold_pass(w):
             full = space.B[:, -1].tolist()
             for k in pending:
                 if full[k] <= w:
                     out[k] = full[k], _walk_back(space.B[k], classes[k], strides, tie_key)
             pending = [k for k in pending if full[k] > w]
-        w += 1
     return out[0] if lone else out
 
 
@@ -442,16 +466,25 @@ class _StateSpace:
                     yield (base[i:i + step, None] + G).reshape(-1), bmax <= w
 
 
-def pathwidth_exact(M: VectorMatroid) -> WidthCertificate:
+def pathwidth_exact(M: VectorMatroid, upper=None) -> WidthCertificate:
     """Optimal width and a witnessing ordering.  Refused by `check_budget`,
     before anything is allocated, for the simplification's rank table and
-    the class-count states (module docstring)."""
+    the class-count states (module docstring).
+
+    upper, when given, is an ordering of M's labels.  Its certificate is
+    computed here by elimination (`width_of_ordering`), and the DP only
+    decides whether pw(M) is below that width (`prefix_dp`): the ordering's
+    certificate is returned when it is not, the DP's own otherwise."""
     if M.size == 0:
-        return WidthCertificate(0, (), ())
+        return width_of_ordering(M, upper or ())
     classes = parallel_classes(M)
     check_budget(1 << len(classes), _strides(classes)[1])
+    bound = None if upper is None else width_of_ordering(M, upper)
     lam = _class_lambdas(M, classes)
-    width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]))
+    width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]),
+                             upper=None if bound is None else bound.width)
+    if order is None:
+        return bound
     return _certified(M, lam, classes, width, order)
 
 

@@ -20,7 +20,8 @@ SMALLEST = {
     "fields.py": ("4",),
 }
 # groups of a script beyond the one its smallest input runs
-GROUPS = {"minor_search.py iso-hosts": ("iso-hosts", "4:1:F7"), "prefix_dp.py graph": ("graph", "16")}
+GROUPS = {"minor_search.py iso-hosts": ("iso-hosts", "4:1:F7"), "prefix_dp.py graph": ("graph", "16"),
+          "prefix_dp.py reduce": ("reduce", "P6")}
 
 
 def test_every_script_has_a_smoke_input():

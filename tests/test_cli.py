@@ -1,6 +1,8 @@
 """The command-line front end: JSON payloads, exit codes, emitted files."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matwidth import algebra, verify
 from matwidth.cli import main
@@ -113,6 +117,16 @@ def test_reduce_verify_single_edge(capsys, tmp_path):
     assert payload["verify"] == {"pw_graph": 1, "pw_matroid": 2, "identity": True}
 
 
+def test_reduce_verify_null_graph(capsys, tmp_path):
+    # no vertices: pw(G) = -1 and the apex matroid is empty, pw(M) = 0
+    p = tmp_path / "null.graph"
+    p.write_text("0\n")
+    code, payload, err = run(capsys, "reduce", str(p), "--verify")
+    assert code == 0
+    assert payload["verify"] == {"pw_graph": -1, "pw_matroid": 0, "identity": True}
+    assert "pw 0 = -1 + 1" in err
+
+
 def test_reduce_k3_verify_and_files(capsys, tmp_path):
     p = tmp_path / "k3.graph"
     p.write_text("3\n0 1 1\n1 2 2\n0 2 3\n")
@@ -149,6 +163,60 @@ def test_reduce_c7_verify(capsys, tmp_path):
     assert code == 0
     assert payload["verify"] == {"pw_graph": 2, "pw_matroid": 3, "identity": True}
     assert "pw 3 = 2 + 1" in err
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reduce_verify_runs_one_matroid_pass_at_most(capsys, monkeypatch, tmp_path, seed):
+    # every graph of the benchmark's reduce-verify workload: the matroid DP
+    # gets the reduction's ordering as its upper bound u = pw(G) + 1 and runs
+    # one threshold pass, at u - 1, or none when the layer bound reaches u
+    import random
+
+    from matwidth import pathwidth
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "mwbench"))
+    import workloads
+
+    solves, inside = [], []
+    real_dp, space = pathwidth.prefix_dp, pathwidth._StateSpace
+    real_pass, real_bound = space.threshold_pass, space.lower_bound
+
+    def dp(*args, **kwargs):
+        solves.append({"upper": kwargs.get("upper"), "passes": []})
+        inside.append(True)
+        try:
+            return real_dp(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_pass(self, w):
+        if inside:
+            solves[-1]["passes"].append(w)
+        return real_pass(self, w)
+
+    def counted_bound(self):
+        bound = real_bound(self)
+        if inside:
+            solves[-1]["bound"] = bound
+        return bound
+
+    # graph pathwidth binds prefix_dp itself, so only the matroid's DP is
+    # seen through the module attribute
+    monkeypatch.setattr(pathwidth, "prefix_dp", dp)
+    monkeypatch.setattr(space, "threshold_pass", counted_pass)
+    monkeypatch.setattr(space, "lower_bound", counted_bound)
+    wl = workloads.WORKLOADS["reduce-verify"](seed, tmp_path)
+    wl.build(random.Random(seed))
+    skipped = set()
+    for op in wl.ops:
+        del solves[:]
+        code, payload, _ = run(capsys, *op.argv)
+        assert code == 0 and payload["verify"]["identity"], op.name
+        (solve,) = solves
+        assert solve["upper"] == payload["verify"]["pw_matroid"] == payload["verify"]["pw_graph"] + 1
+        skipped.add(solve["bound"] >= solve["upper"])
+        assert solve["passes"] == ([] if solve["bound"] >= solve["upper"] else [solve["upper"] - 1]), op.name
+    assert len(wl.ops) == 19 and skipped == {False, True}
 
 
 def test_pathwidth_over_the_memory_budget_is_error(capsys, tmp_path):
@@ -369,6 +437,38 @@ def test_negative_counts_are_errors(capsys, tmp_path, command, text, parse, erro
     assert code == 1 and "negative" in payload["error"]
     with pytest.raises(error, match="negative"):
         parse(text)
+
+
+_GRAPH_TOKENS = st.one_of(
+    st.integers(-3, 8).map(str),
+    st.sampled_from(["", "x", "1.5", "0x1", "1_0", "+2", "-0", "1e3", "\u0663", "lx:0", "l:0-1", "9" * 5000]),
+    st.text(max_size=3),
+)
+# arbitrary text, and lines of tokens near the graph format
+GRAPH_TEXTS = st.one_of(st.text(), st.lists(st.lists(_GRAPH_TOKENS, max_size=4).map(" ".join),
+                                            max_size=8).map("\n".join))
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRAPH_TEXTS)
+def test_graph_files_parse_or_fail_with_the_error_contract(tmp_path_factory, text):
+    # graph_from_text raises only ValueError, and `reduce` on the file
+    # answers or exits 1 with a JSON error, exiting 1 whenever parsing fails
+    try:
+        graph_from_text(text)
+        parsed = True
+    except ValueError:
+        parsed = False
+    p = tmp_path_factory.getbasetemp() / "arbitrary.graph"
+    p.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce", str(p)])
+    doc = json.loads(out.getvalue())
+    if code == 1:
+        assert list(doc) == ["error"] and err.getvalue().startswith("error: ")
+    else:
+        assert code == 0 and parsed and "matrix" in doc
 
 
 def test_reduce_refuses_a_large_graph_before_building_it(capsys, tmp_path):

@@ -82,6 +82,16 @@ def test_edgeless_pathwidth_zero():
         assert validate_path_decomposition(edgeless_graph(k), decomp) == 0
 
 
+def test_null_graph_pathwidth_is_minus_one():
+    # max bag size - 1 over no bags
+    null = MultiGraph(0, ())
+    assert graph_pathwidth(null) == (-1, D(()))
+    assert validate_path_decomposition(null, D(())) == -1
+    assert validate_path_decomposition(null, D(((),))) == -1
+    with pytest.raises(NotADecomposition, match="unknown vertex"):
+        validate_path_decomposition(null, D(({0},)))
+
+
 def test_k3_pathwidth_two():
     w, decomp = graph_pathwidth(complete_graph(3))
     assert w == 2

@@ -80,8 +80,8 @@ def test_a_tampered_dp_answer_fails_the_elimination_check(monkeypatch, batch, ta
     # re-derives the lambdas by elimination and refuses either
     real = pathwidth.prefix_dp
 
-    def tampered(cost, classes, tie_key):
-        result = real(cost, classes, tie_key)
+    def tampered(cost, classes, tie_key, upper=None):
+        result = real(cost, classes, tie_key, upper)
         if (cost.ndim == 2) != batch:
             return result
         answers = result if batch else [result]

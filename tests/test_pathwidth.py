@@ -341,6 +341,143 @@ def test_threshold_dp_matches_layered_dp_on_apex_lambda_tables(graph):
 
 
 # ---------------------------------------------------------------------------
+# a known upper bound: one threshold pass at u - 1, or none
+
+
+def _counting_passes(monkeypatch):
+    """The thresholds of every threshold pass run from here on."""
+    seen, real = [], _StateSpace.threshold_pass
+
+    def counted(self, w):
+        seen.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(_StateSpace, "threshold_pass", counted)
+    return seen
+
+
+def test_prefix_dp_with_an_upper_bound_runs_one_pass_at_most(monkeypatch):
+    seen = _counting_passes(monkeypatch)
+    rng = np.random.default_rng(557)
+    for classes in (9, [[0, 1], [2], [3, 4, 5], [6, 7], [8]]):
+        cls = [[e] for e in range(classes)] if isinstance(classes, int) else classes
+        _, size = _strides(cls)
+        for top in (3, 8):
+            cost = rng.integers(0, top + 1, size).astype(np.uint8)
+            lb = _StateSpace(cost, cls).lower_bound()
+            for tie_key in (lambda e: 0, lambda e: -e):
+                width, order = _layered_prefix_dp(cost, classes, tie_key)
+                for u in (width, width + 1, width + 3):
+                    seen.clear()
+                    got = prefix_dp(cost, classes, tie_key, upper=u)
+                    assert got == ((width, order) if width < u else (u, None))
+                    assert seen == ([] if lb >= u else [u - 1])
+
+
+def test_prefix_dp_with_an_upper_bound_on_a_batch(monkeypatch):
+    # members share the one pass: those it reaches are walked back as alone
+    seen = _counting_passes(monkeypatch)
+    rng = np.random.default_rng(563)
+    classes = [[0, 1], [2], [3, 4]]
+    _, size = _strides(classes)
+    cost = rng.integers(0, 5, (6, size)).astype(np.uint8)
+    alone = [_layered_prefix_dp(row, classes, lambda e: e) for row in cost]
+    u = max(width for width, _ in alone)
+    assert min(width for width, _ in alone) < u and _StateSpace(cost, classes).lower_bound() < u
+    got = prefix_dp(cost, [classes] * len(cost), lambda e: e, upper=u)
+    assert got == [(width, order) if width < u else (u, None) for width, order in alone]
+    assert seen == [u - 1]
+
+
+def _seeded_matroid(rng, field, n):
+    """A matroid of n elements over field with loops and columns parallel to
+    earlier ones drawn often."""
+    k = int(rng.integers(1, n + 1))
+    cols = []
+    for j in range(n):
+        kind = rng.choice(["random", "loop", "parallel"] if j else ["random", "loop"])
+        if kind == "random":
+            cols.append([int(x) for x in rng.integers(0, field.q, k)])
+        elif kind == "loop":
+            cols.append([0] * k)
+        else:
+            c = int(rng.integers(1, field.q))
+            cols.append([field.mul(c, x) for x in cols[int(rng.integers(j))]])
+    return matroid(field, [[col[i] for col in cols] for i in range(k)])
+
+
+def _upper_orderings(M, rng):
+    """The three upper orderings: the DP's own order, a seeded random
+    permutation and the greedy order."""
+    return (pathwidth_exact(M).ordering, tuple(M.labels[i] for i in rng.permutation(M.size)),
+            pathwidth_upper_greedy(M).ordering)
+
+
+def _check_upper(M, rng) -> set:
+    """Checks pathwidth_exact(M, upper=pi) for the three orderings; returns
+    whether the DP beat each pi."""
+    exact, beaten = pathwidth_exact(M), set()
+    for pi in _upper_orderings(M, rng):
+        got = pathwidth_exact(M, upper=pi)
+        assert got.width == exact.width
+        bound = width_of_ordering(M, pi)
+        # the DP's certificate where it beats pi, pi's own where it cannot
+        assert got == (exact if exact.width < bound.width else bound)
+        beaten.add(exact.width < bound.width)
+    return beaten
+
+
+def test_exact_with_an_upper_ordering_on_apex_matroids():
+    from matwidth.reduction import reduce_instance
+    from matwidth.verify import small_connected_graphs
+
+    rng = np.random.default_rng(569)
+    beaten = set()
+    for _, G in small_connected_graphs():
+        M, _ = reduce_instance(G, GF2)
+        beaten |= _check_upper(M, rng)
+    assert beaten == {False, True}
+
+
+def test_exact_with_an_upper_ordering_on_seeded_matroids():
+    # random GF(4) columns are nearly uniform matroids, where every order is
+    # optimal: the DP beats some pi over GF(2) and GF(3)
+    rng = np.random.default_rng(571)
+    beaten = set()
+    for field in (GF2, GF3, GF4):
+        for _ in range(25):
+            beaten |= _check_upper(_seeded_matroid(rng, field, int(rng.integers(1, 10))), rng)
+    assert beaten == {False, True}
+
+
+def test_exact_with_an_upper_ordering_computes_its_width_by_elimination(monkeypatch):
+    # the DP's answer for the ordering's width comes from elimination, not
+    # from the DP's own lambda table
+    M = u24()
+    calls = []
+    real = width_of_ordering
+
+    def counted(M, ordering):
+        calls.append(tuple(ordering))
+        return real(M, ordering)
+
+    monkeypatch.setattr("matwidth.pathwidth.width_of_ordering", counted)
+    assert pathwidth_exact(M, upper=(1, 2, 3, 4)) == real(M, (1, 2, 3, 4))
+    assert calls == [(1, 2, 3, 4)]
+
+
+def test_exact_with_an_upper_ordering_rejects_a_non_permutation():
+    M = u24()
+    empty = VectorMatroid(identity_matrix(GF2, 0), labels=())
+    for bad in ((1, 2, 3), (1, 2, 3, 3), (1, 2, 3, 5), (1, 2, 3, 4, 5)):
+        with pytest.raises(NotAPermutation):
+            pathwidth_exact(M, upper=bad)
+    with pytest.raises(NotAPermutation):
+        pathwidth_exact(empty, upper=(1,))
+    assert pathwidth_exact(empty, upper=()) == WidthCertificate(0, (), ())
+
+
+# ---------------------------------------------------------------------------
 # class-count states: pathwidth_exact against the subset DP on reference ranks
 
 
@@ -496,7 +633,8 @@ def test_every_table_and_dp_is_refused_by_the_budget_before_allocating(monkeypat
     monkeypatch.setattr(matroidmod, "EXACT_BYTES", 2**20)
     M = matroid(GF2, _simple_gf2_columns(20))
     G = mk_graph(20, [(i, i + 1) for i in range(19)])
-    for refused in (M.rank_table, lambda: pathwidth_exact(M), lambda: graph_pathwidth(G)):
+    for refused in (M.rank_table, lambda: pathwidth_exact(M), lambda: pathwidth_exact(M, upper=M.labels),
+                    lambda: graph_pathwidth(G)):
         tracemalloc.start()
         try:
             with pytest.raises(GroundSetTooLarge, match="over the budget of 1 MB$"):
@@ -527,10 +665,11 @@ def test_pw_duality_random():
 
 
 @st.composite
-def byte_field_matroids(draw):
-    """Matroids of up to 9 elements over byte fields (q > 4), with loops and
-    columns parallel to earlier ones drawn often."""
-    field = draw(st.sampled_from([GF5, field_new(3, 2), field_new(2, 4), field_new(17)]))
+def field_matroids(draw):
+    """Matroids of up to 9 elements over word fields (GF(2), GF(3), GF(4))
+    and byte fields (q > 4), with loops and columns parallel to earlier ones
+    drawn often."""
+    field = draw(st.sampled_from([GF2, GF3, GF4, GF5, field_new(3, 2), field_new(2, 4), field_new(17)]))
     n = draw(st.integers(1, 9))
     k = draw(st.integers(1, n))
     entry = st.integers(0, field.q - 1)
@@ -548,10 +687,10 @@ def byte_field_matroids(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(byte_field_matroids())
-def test_pw_duality_property_on_byte_fields(M):
+@given(field_matroids())
+def test_pw_duality_property(M):
     # both table routes (the code's rank at most n/2 and above it) and the
-    # elimination certificate, on byte residues
+    # elimination certificate, on word and byte residues
     assert pathwidth_exact(M).width == pathwidth_exact(dual(M)).width
 
 
