@@ -8,11 +8,14 @@ workload at seed 1 or 2 (124 cases).  Its input files are made by the
 workload's own code (`mwbench/workloads.py`, imported and never written
 to) in a temporary directory, and named by paths relative to it, so no
 output depends on where that directory is.  Every case is measured for
-every tree by the shared child harness (`harness.py`: best of 3 runs
-after a warm-up and the tracemalloc peak of one more, in a fresh
-interpreter per tree and case).  The answer is the sha256 of the exit code, stdout and stderr of
-the operation, so `answers_agree` holds exactly when both trees print the
-same bytes and exit alike.
+every tree by the shared child harness
+(`harness.py`: five fresh interpreters per tree and case, the trees
+alternating A B B A ..., each giving its best of 3 runs after a warm-up
+and the tracemalloc peak of one more; the file keeps every child's best
+and their median and quartiles).  The
+answer is the sha256 of the exit code, stdout and stderr of the
+operation, so `answers_agree` holds exactly when every child of both
+trees prints the same bytes and exits alike.
 """
 
 from __future__ import annotations

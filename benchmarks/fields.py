@@ -3,9 +3,11 @@
     python3 benchmarks/fields.py --src before=../parent/src --src after=src --out BENCH.json
 
 One case per prime power q <= 256 (70 of them), measured for every tree by
-the shared child harness (`harness.py`: best of 3 runs after a warm-up
-and the tracemalloc peak of one more, in a fresh interpreter per tree and
-field).  One run
+the shared child harness
+(`harness.py`: five fresh interpreters per tree and field, the trees
+alternating A B B A ..., each giving its best of 3 runs after a warm-up
+and the tracemalloc peak of one more; the file keeps every child's best
+and their median and quartiles).  One run
 builds GF(q) afresh (the field cache cleared) max(1, 2^16 / q^2)
 times and reports the mean, so that the small fields are timed over
 milliseconds.  The answer is the sha256 of the reduction polynomial, the

@@ -3,9 +3,10 @@
     python3 benchmarks/prefix_dp.py --src before=../parent/src --src after=src --out BENCH.json
 
 Every input below is measured for every tree by the shared child harness
-(`harness.py`: best of 3 runs after a warm-up and the tracemalloc peak of
-one more, in a fresh interpreter per tree and input, the trees taking
-turns).  Inputs:
+(`harness.py`: five fresh interpreters per tree and input, the trees
+alternating A B B A ..., each giving its best of 3 runs after a warm-up
+and the tracemalloc peak of one more; the file keeps every child's best
+and their median and quartiles).  Inputs:
 
 - "apex": `pathwidth_exact` on the apex matroid over GF(2) (as
   `reduction.reduce_instance` builds it) of P6 (22 elements), K23 (22),

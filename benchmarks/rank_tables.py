@@ -3,9 +3,11 @@
     python3 benchmarks/rank_tables.py --src before=../parent/src --src after=src --out BENCH.json
 
 `VectorMatroid.rank_table()` of every tree is measured on every input
-below by the shared child harness (`harness.py`: best of 3 runs after a
-warm-up, in a fresh interpreter per tree and input, the trees taking
-turns).  One run
+below by the shared child harness
+(`harness.py`: five fresh interpreters per tree and input, the trees
+alternating A B B A ..., each giving its best of 3 runs after a warm-up
+and the tracemalloc peak of one more; the file keeps every child's best
+and their median and quartiles).  One run
 builds the table of a fresh matroid max(1, 2^16 / 2^n) times and reports
 the mean, so that tables of a few hundred entries are timed over
 milliseconds.  Inputs, each a seeded [n, k] code over GF(q):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import matroid as matroidmod
-from .algebra import FieldSpec, GfMatrix, rank_of_columns
+from .algebra import FieldSpec, GfMatrix, echelon_push, rank_of_columns
 from .matroid import (
     ISO_MAX_GROUND,
     GroundSetTooLarge,
@@ -32,7 +32,7 @@ from .matroid import (
     iso_invariants,
     table_isomorphism,
 )
-from .pathwidth import pathwidth_exact, single_element_minors
+from .pathwidth import pathwidth_and_minors, pathwidth_at_most
 
 # the bytes of gathered candidate tables one slice of the minor search may
 # hold (see minor_contains)
@@ -360,11 +360,22 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
 
 def _subsets(positions, size):
     """Every size-subset of positions in lexicographic order, as a
-    (count, size) array of positions and their bitmasks."""
-    count = math.comb(len(positions), size)
-    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(positions, size)),
-                          dtype=np.intp, count=count * size).reshape(count, size)
+    (count, size) array of positions and their bitmasks: the combinations
+    of the indices, `_combinations`, mapped through positions."""
+    subsets = np.asarray(positions, dtype=np.intp)[_combinations(len(positions), size)]
     return subsets, (1 << subsets).sum(axis=1)
+
+
+@functools.cache
+def _combinations(n, size):
+    """Every size-subset of range(n) in lexicographic order, as a read-only
+    (count, size) array.  Kept per (n, size): every host of n elements
+    lists the same ones."""
+    count = math.comb(n, size)
+    out = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), size)),
+                      dtype=np.intp, count=count * size).reshape(count, size)
+    out.flags.writeable = False
+    return out
 
 
 def replay_certificate(host: VectorMatroid, pattern: VectorMatroid, cert: MinorCertificate) -> bool:
@@ -372,25 +383,39 @@ def replay_certificate(host: VectorMatroid, pattern: VectorMatroid, cert: MinorC
     r_pattern(S) = r_host(f(S) + X) - r_host(X) on every pattern subset S by
     elimination on the matrix columns, never reading a rank table.  A
     malformed certificate (overlapping or unknown sets, a bijection onto
-    anything but E - X - Y) replays False."""
+    anything but E - X - Y) replays False.
+
+    The subsets are walked depth first, S + i after S for each i past S's
+    last element, so each side's echelon basis of S + i is the one of S
+    plus one `echelon_push`: the pattern's from an empty basis, the minor's
+    from a basis of X.  Only the bases on the current path are held, and
+    each is cut back to its parent's on the way up."""
     X, Y, bij = cert.contract, cert.delete, cert.bijection
     ground = set(host.labels)
     kept = ground - X - Y
     if (X & Y or not (X | Y) <= ground or set(bij) != set(pattern.labels)
             or set(bij.values()) != kept or len(kept) != pattern.size):
         return False
-    field = host.field
-    x_cols = [host.columns[host.position(lbl)] for lbl in X]
-    r_x = rank_of_columns(field, x_cols)
-    n = pattern.size
+    field, n = host.field, pattern.size
     images = [host.columns[host.position(bij[lbl])] for lbl in pattern.labels]
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if (mask >> i) & 1]
-        r_pat = rank_of_columns(pattern.field, [pattern.columns[i] for i in idx])
-        r_minor = rank_of_columns(field, x_cols + [images[i] for i in idx]) - r_x
-        if r_pat != r_minor:
-            return False
-    return True
+    pat_basis, minor_basis = [], []
+    for lbl in X:
+        echelon_push(field, minor_basis, host.columns[host.position(lbl)])
+    r_x = len(minor_basis)
+
+    def agrees(start) -> bool:
+        # every S + i, i >= start, and the subsets below it
+        for i in range(start, n):
+            p, m = len(pat_basis), len(minor_basis)
+            echelon_push(pattern.field, pat_basis, pattern.columns[i])
+            echelon_push(field, minor_basis, images[i])
+            ok = len(pat_basis) == len(minor_basis) - r_x and agrees(i + 1)
+            del pat_basis[p:], minor_basis[m:]
+            if not ok:
+                return False
+        return True
+
+    return agrees(0)
 
 
 def catalog_minor_witness(M: VectorMatroid, w: int):
@@ -406,12 +431,14 @@ def catalog_minor_witness(M: VectorMatroid, w: int):
 def pw_le_1_by_minors(M: VectorMatroid):
     """(pathwidth <= 1, the first catalog minor's certificate or None),
     decided by excluded minors and cross-checked against the exact solver
-    (a mismatch would be an implementation bug and raises).  For a code
-    this is the trellis-width <= 1 test; the minor search refuses more
-    than ISO_MAX_GROUND elements."""
+    (a mismatch would be an implementation bug and raises).  The exact side
+    only decides pw(M) <= 1 (`pathwidth_at_most`): one threshold pass at 1,
+    or none when the layer bound is already 2 or more, and a yes is
+    certified by elimination.  For a code this is the trellis-width <= 1
+    test; the minor search refuses more than ISO_MAX_GROUND elements."""
     cert = catalog_minor_witness(M, 1)
     by_minors = cert is None
-    by_exact = pathwidth_exact(M).width <= 1
+    by_exact = pathwidth_at_most(M, 1)
     if by_minors != by_exact:
         raise RuntimeError(
             f"excluded-minor test ({by_minors}) disagrees with the exact solver "
@@ -451,17 +478,23 @@ class ExcludedMinorReport:
 def verify_excluded_minor(M: VectorMatroid, w: int) -> ExcludedMinorReport:
     """Check the excluded-minor property: pw(M) > w, yet deleting or
     contracting any single element drops the pathwidth to at most w.  The
-    2n minor widths come from batched DP calls on lambda read from M's own
-    table, each certified by elimination on M's columns
-    (`pathwidth.single_element_minors`)."""
-    pw = pathwidth_exact(M).width
+    2n minor widths come first, from batched DP calls on lambda read from
+    M's own table, each certified by elimination on M's columns
+    (`pathwidth.single_element_minors`).  pw(M) comes from M's DP given the
+    order of the least-width deletion M \\ e with e appended, of width at
+    most pw(M \\ e) + 1 (`pathwidth.pathwidth_and_minors`): on an entry
+    that passes, that is at most w + 1, and the DP runs no pass once its
+    layer bound reaches it.  The reported width is an ordering's, its
+    prefix lambdas computed by elimination."""
+    cert, minors = pathwidth_and_minors(M)
+    pw = cert.width
     failures = []
     if pw <= w:
         failures.append(f"pathwidth {pw} is not above {w}")
     results = []
-    for lbl, op, cert in single_element_minors(M):
-        ok = cert.width <= w
-        results.append((lbl, op, cert.width, ok))
+    for lbl, op, minor in minors:
+        ok = minor.width <= w
+        results.append((lbl, op, minor.width, ok))
         if not ok:
-            failures.append(f"{op}({lbl}) has pathwidth {cert.width} > {w}")
+            failures.append(f"{op}({lbl}) has pathwidth {minor.width} > {w}")
     return ExcludedMinorReport(w, pw, results, failures)

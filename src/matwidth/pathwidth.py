@@ -54,7 +54,12 @@ on the walk, so the tie rule picks the same order.  `pathwidth_exact`
 takes the ordering, not its width, and computes the width by elimination,
 so no caller can vouch for a width; `reduce --verify` passes the ordering
 that `reduction.decomp_to_ordering` reads off the graph's optimal path
-decomposition, of width at most pw(G) + 1.
+decomposition, of width at most pw(G) + 1, and `pathwidth_and_minors`
+(behind `verify-excluded`) the order of M's least-width single-element
+deletion with the deleted element appended, of width at most
+pw(M \\ e) + 1.  `pathwidth_at_most(M, w)` (behind `check-tw1`) passes
+u = w + 1 with no ordering: its answer is only whether B(full) <= w, and a
+yes is certified as every order is.
 
 The back-walk removes, from the winning class, its remaining member with
 the smallest tie key.  Within a class every member gives the same
@@ -269,10 +274,14 @@ def prefix_dp(cost: np.ndarray, classes, tie_key, upper=None):
     passes (module docstring); a member whose full state a pass reaches is
     walked back at once.
 
-    upper, when given, is a width u that every member's B(full state) is
-    known to be at most.  Then the DP runs no pass when the layer bound
-    reaches u, and otherwise one pass at u - 1; a member whose full state
-    that pass does not reach gets (u, None), with no order (module
+    upper = u, when given, makes the DP decide only whether each member's
+    B(full state) is at most u - 1: it runs no pass when the layer bound
+    reaches u, and otherwise one pass at u - 1.  A member that pass reaches
+    gets its exact B(full state) and order; one it does not reach, or every
+    member when no pass runs, gets (u, None), which means "above u - 1".
+    That is B(full state) = u only when u is a known upper bound, as
+    `pathwidth_exact` passes an ordering's width; `pathwidth_at_most`
+    passes w + 1 to decide whether B(full state) <= w (module
     docstring)."""
     lone = cost.ndim == 1
     if lone:
@@ -480,12 +489,27 @@ def pathwidth_exact(M: VectorMatroid, upper=None) -> WidthCertificate:
     classes = parallel_classes(M)
     check_budget(1 << len(classes), _strides(classes)[1])
     bound = None if upper is None else width_of_ordering(M, upper)
+    return _solve(M, classes, None if bound is None else bound.width) or bound
+
+
+def pathwidth_at_most(M: VectorMatroid, w: int) -> bool:
+    """Whether pw(M) <= w, from one threshold pass at w, or none when the
+    layer bound already exceeds w (`prefix_dp` with upper = w + 1).  A yes
+    is believed only once the DP's order is certified by elimination on
+    M's columns (`_certified`).  Refused as `pathwidth_exact` is."""
+    if M.size == 0:
+        return w >= 0
+    classes = parallel_classes(M)
+    check_budget(1 << len(classes), _strides(classes)[1])
+    return _solve(M, classes, w + 1) is not None
+
+
+def _solve(M: VectorMatroid, classes, upper):
+    """The certificate of M's DP (`prefix_dp` with the given upper), or
+    None when the DP gives no order."""
     lam = _class_lambdas(M, classes)
-    width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]),
-                             upper=None if bound is None else bound.width)
-    if order is None:
-        return bound
-    return _certified(M, lam, classes, width, order)
+    width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]), upper=upper)
+    return None if order is None else _certified(M, lam, classes, width, order)
 
 
 def single_element_minors(M: VectorMatroid) -> list:
@@ -531,6 +555,20 @@ def single_element_minors(M: VectorMatroid) -> list:
                 contracted = M.columns[e] if op == "contract" else None
                 certs[e, op] = _certified(M, row, rest, width, order, contracted)
     return [(M.labels[e], op, certs[e, op]) for e in range(M.size) for op in ("delete", "contract")]
+
+
+def pathwidth_and_minors(M: VectorMatroid) -> tuple:
+    """(`pathwidth_exact(M)`, `single_element_minors(M)`), the minors solved
+    first.  M's DP then takes as its upper bound the certified order of the
+    least-width deletion M \\ e (the first in column order) with e
+    appended.  For P within E - e, lambda_M(P) <= lambda_{M \\ e}(P) + 1,
+    since r(E - P) <= r(E - e - P) + 1 and r(E - e) <= r(E), and the full
+    prefix has lambda 0, so that order has width at most pw(M \\ e) + 1; when
+    the layer bound reaches its width the DP runs no pass."""
+    minors = single_element_minors(M)
+    deletions = [(cert.width, cert.ordering + (lbl,)) for lbl, op, cert in minors if op == "delete"]
+    _, upper = min(deletions, key=lambda d: d[0], default=(0, ()))
+    return pathwidth_exact(M, upper=upper), minors
 
 
 def _certified(M: VectorMatroid, lam, classes, width, order, contracted=None) -> WidthCertificate:

@@ -25,7 +25,14 @@ from .graph import (
     validate_path_decomposition,
 )
 from .matroid import VectorMatroid, direct_sum, dual
-from .pathwidth import caterpillar, branch_width_of_tree, pathwidth_exact, single_element_minors, width_of_ordering
+from .pathwidth import (
+    branch_width_of_tree,
+    caterpillar,
+    pathwidth_and_minors,
+    pathwidth_at_most,
+    pathwidth_exact,
+    width_of_ordering,
+)
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -112,15 +119,18 @@ def check_duality(samples=200, seed=7, n_max=9, qs=(2, 3)) -> dict:
 
 
 def check_minor_monotonicity(samples=200, seed=11, n_max=9, qs=(2, 3)) -> dict:
-    """Every single-element deletion/contraction has pathwidth <= pw(M)."""
+    """Every single-element deletion/contraction has pathwidth <= pw(M),
+    with pw(M) from the minor-derived upper bound of
+    `pathwidth.pathwidth_and_minors`."""
     rng = rng_for(seed)
     violations = []
     for i in range(samples):
         field = field_from_order(int(qs[i % len(qs)]))
         n = int(rng.integers(2, n_max + 1))
         M = random_matroid(field, n, rng)
-        pw = pathwidth_exact(M).width
-        for lbl, op, cert in single_element_minors(M):
+        parent, minors = pathwidth_and_minors(M)
+        pw = parent.width
+        for lbl, op, cert in minors:
             if cert.width > pw:
                 violations.append(
                     {"sample": i, "op": op, "element": str(lbl), "pw": pw, "pw_minor": cert.width,
@@ -305,7 +315,7 @@ def check_p1q(q=3, n_max=8, samples=500, seed=31) -> dict:
         M = random_matroid(field, n, rng)
         witness = minorsmod.catalog_minor_witness(M, 1)
         by_minors = witness is None
-        by_exact = pathwidth_exact(M).width <= 1
+        by_exact = pathwidth_at_most(M, 1)
         if by_minors != by_exact:
             violations.append({"sample": i, "by_minors": by_minors, "by_exact": by_exact,
                                **_matroid_doc(M)})

@@ -329,3 +329,61 @@ def ref_random_rows(field, m, n, rng) -> list:
         j, src, c = int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(field.q))
         rows = [r[:j] + (mul(c, r[src]),) + r[j + 1:] for r in rows]
     return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_tables(field):
+    """(add, mul, neg, inv) tables of the reference field operations."""
+    add, mul = ref_field_ops(field)
+    q = field.q
+    mul = [[mul(a, b) for b in range(q)] for a in range(q)]
+    neg = [add[x].index(0) for x in range(q)]
+    inv = [0] + [mul[x].index(1) for x in range(1, q)]
+    return add, mul, neg, inv
+
+
+def ref_column_rank(field, cols) -> int:
+    """Rank of a list of vectors by a Gauss-Jordan elimination written here,
+    on the reference field operations."""
+    add, mul, neg, inv = _ref_tables(field)
+    rows = [list(c) for c in cols]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = [mul[inv[rows[rank][j]]][x] for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            c = neg[rows[i][j]]
+            rows[i] = [add[x][mul[c][y]] for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def ref_replay(host: VectorMatroid, pattern: VectorMatroid, cert) -> bool:
+    """A minor certificate replayed from scratch: the sets well formed (X
+    and Y disjoint within the host's ground set, the bijection from the
+    pattern's labels onto the rest), then r_pattern(S) = r(f(S) + X) - r(X)
+    on every pattern subset S, each rank by `ref_column_rank` on the
+    columns of S alone."""
+    X, Y, bij = set(cert.contract), set(cert.delete), cert.bijection
+    ground = set(host.labels)
+    rest = ground - X - Y
+    if X & Y or not X <= ground or not Y <= ground or set(bij) != set(pattern.labels):
+        return False
+    images = [bij[lbl] for lbl in pattern.labels]
+    if set(images) != rest or len(images) != len(rest):
+        return False
+
+    def col(lbl):
+        return host.columns[host.labels.index(lbl)]
+
+    x_cols = [col(lbl) for lbl in X]
+    r_x = ref_column_rank(host.field, x_cols)
+    for size in range(pattern.size + 1):
+        for S in itertools.combinations(range(pattern.size), size):
+            r_pat = ref_column_rank(pattern.field, [pattern.columns[i] for i in S])
+            if r_pat != ref_column_rank(host.field, x_cols + [col(images[i]) for i in S]) - r_x:
+                return False
+    return True
