@@ -7,7 +7,10 @@ A case is one operation of the tw-codes, reduce-verify or minor-search
 workload at seed 1 or 2 (124 cases).  Its input files are made by the
 workload's own code (`mwbench/workloads.py`, imported and never written
 to) in a temporary directory, and named by paths relative to it, so no
-output depends on where that directory is.  Every case is measured for
+output depends on where that directory is.  The "verify" group adds
+`matwidth verify SUITE` for every suite at its defaults, and
+`verify SUITE --q 4` for the suites in VERIFY_Q4 (15 cases); they read no
+file.  Every case is measured for
 every tree by the shared child harness
 (`harness.py`: five fresh interpreters per tree and case, the trees
 alternating A B B A ..., each giving its best of 3 runs after a warm-up
@@ -41,20 +44,32 @@ import workloads  # noqa: E402
 
 NAMES = ("tw-codes", "reduce-verify", "minor-search")
 SEEDS = (1, 2)
+SUITES = ("duality", "minor-monotone", "direct-sum", "caterpillar", "reduction", "decomp", "reorder",
+          "umbrella", "p1q", "excluded-w2", "tw1-codes")
+# the suites whose report goes through the exact solver on a field of their
+# own choosing, run again over GF(4)
+VERIFY_Q4 = ("p1q", "minor-monotone", "duality", "tw1-codes")
 
 
-def runner(name: str, seed: str, index: str):
-    """Operation number index of the named workload at seed (module docstring)."""
+def runner(name: str, *args: str):
+    """Operation number index of the named workload at seed (args seed,
+    index), or for name "verify" the suite args[0], over GF(args[1]) when
+    given (module docstring)."""
     import matwidth
     from matwidth import cli
 
-    work = tempfile.mkdtemp()
-    atexit.register(shutil.rmtree, work, True)
-    os.chdir(work)
-    # inputs named relative to the working directory, set up as mwbench does
-    wl = workloads.WORKLOADS[name](int(seed), Path("inputs"))
-    wl.prepare(matwidth)
-    argv = wl.ops[int(index)].argv
+    if name == "verify":
+        suite, *q = args
+        argv = ["verify", suite, *(["--q", *q] if q else [])]
+    else:
+        seed, index = args
+        work = tempfile.mkdtemp()
+        atexit.register(shutil.rmtree, work, True)
+        os.chdir(work)
+        # inputs named relative to the working directory, set up as mwbench does
+        wl = workloads.WORKLOADS[name](int(seed), Path("inputs"))
+        wl.prepare(matwidth)
+        argv = wl.ops[int(index)].argv
 
     def run():
         out, err = io.StringIO(), io.StringIO()
@@ -70,7 +85,7 @@ def runner(name: str, seed: str, index: str):
 
 def cases():
     """(row, --one arguments) of every case; each workload's operation list
-    is built once, in a temporary directory."""
+    is built once, in a temporary directory, and the verify group follows."""
     for name in NAMES:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as tmp:
@@ -78,6 +93,10 @@ def cases():
                 wl.build(random.Random(seed))
             for i, op in enumerate(wl.ops):
                 yield {"workload": name, "seed": seed, "op": op.name}, (name, seed, i)
+    for suite in SUITES:
+        yield {"workload": "verify", "op": suite}, ("verify", suite)
+    for suite in VERIFY_Q4:
+        yield {"workload": "verify", "op": f"{suite} --q 4"}, ("verify", suite, 4)
 
 
 if __name__ == "__main__":

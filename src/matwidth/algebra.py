@@ -264,9 +264,6 @@ class GfMatrix:
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> "GfMatrix":
-        return GfMatrix(self.field, [self.column(j) for j in range(self.cols)], cols=self.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, GfMatrix)

@@ -249,16 +249,15 @@ class VectorMatroid:
         anything."""
         if self._rank_table is None:
             check_budget(1 << self.size)
-            table = self._table_from(_sweep_ranks)
+            table = self._table_from()
             table.flags.writeable = False
             self._rank_table = table
         return self._rank_table
 
-    def _table_from(self, column_ranks) -> np.ndarray:
-        """M's table from the table that column_ranks(field, gens) builds for
-        N, the column matroid of an m x n generator: an echelon basis of the
-        row space when k <= n - k, a basis of its complement otherwise, so
-        m = min(k, n - k)."""
+    def _table_from(self) -> np.ndarray:
+        """M's table from the table `_sweep_ranks` builds for N, the column
+        matroid of an m x n generator: an echelon basis of the row space when
+        k <= n - k, a basis of its complement otherwise, so m = min(k, n - k)."""
         n, k = self.size, self.rank_full
         dual = k > n - k
         if dual:
@@ -267,7 +266,7 @@ class VectorMatroid:
             gen = []
             for row in self.matrix.entries:
                 algebra.echelon_push(self.field, gen, row)
-        table = column_ranks(self.field, np.array(gen, dtype=np.uint8).reshape(len(gen), n))
+        table = _sweep_ranks(self.field, np.array(gen, dtype=np.uint8).reshape(len(gen), n))
         if dual:
             # r_M(S) = |S| + r_N(E - S) - m, |S| the popcounts of its low
             # and its high half

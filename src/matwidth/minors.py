@@ -479,10 +479,10 @@ def verify_excluded_minor(M: VectorMatroid, w: int) -> ExcludedMinorReport:
     """Check the excluded-minor property: pw(M) > w, yet deleting or
     contracting any single element drops the pathwidth to at most w.  The
     2n minor widths come first, from batched DP calls on lambda read from
-    M's own table, each certified by elimination on M's columns
-    (`pathwidth.single_element_minors`).  pw(M) comes from M's DP given the
-    order of the least-width deletion M \\ e with e appended, of width at
-    most pw(M \\ e) + 1 (`pathwidth.pathwidth_and_minors`): on an entry
+    M's own table, each certified by elimination on M's columns, and pw(M)
+    then from M's DP given the order of the least-width deletion M \\ e
+    with e appended, of width at most pw(M \\ e) + 1
+    (`pathwidth.pathwidth_and_minors`): on an entry
     that passes, that is at most w + 1, and the DP runs no pass once its
     layer bound reaches it.  The reported width is an ordering's, its
     prefix lambdas computed by elimination."""

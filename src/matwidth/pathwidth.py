@@ -41,26 +41,6 @@ relaxed; a layer row whose least cost exceeds w is never listed, and a
 block of rows whose largest cost is at most w is relaxed without a cost
 test (`_StateSpace`).
 
-A caller that knows an upper bound u on B(full), the width of some
-ordering, passes `upper=u`, and the DP only decides whether B(full) is at
-most u - 1.  It runs no pass when the layer bound already reaches u, for
-then B(full) = u, and otherwise one pass at u - 1.  The lower side of the
-answer rests on the same argument as above: a pass at w fails to reach
-the full state exactly when B(full) > w, so a member that pass does not
-reach has B(full) = u, and gets no order; the caller keeps its own.  A
-member it reaches is walked back as after the pass at B(full): B is exact
-wherever it is at most u - 1, which covers every value that wins or ties
-on the walk, so the tie rule picks the same order.  `pathwidth_exact`
-takes the ordering, not its width, and computes the width by elimination,
-so no caller can vouch for a width; `reduce --verify` passes the ordering
-that `reduction.decomp_to_ordering` reads off the graph's optimal path
-decomposition, of width at most pw(G) + 1, and `pathwidth_and_minors`
-(behind `verify-excluded`) the order of M's least-width single-element
-deletion with the deleted element appended, of width at most
-pw(M \\ e) + 1.  `pathwidth_at_most(M, w)` (behind `check-tw1`) passes
-u = w + 1 with no ordering: its answer is only whether B(full) <= w, and a
-yes is certified as every order is.
-
 The back-walk removes, from the winning class, its remaining member with
 the smallest tie key.  Within a class every member gives the same
 B(S - e), so this is the subset DP's tie rule: the e with smallest
@@ -68,35 +48,50 @@ B(S - e), so this is the subset DP's tie rule: the e with smallest
 every element has a parallel twin, so an n-element instance has 3^(n/2)
 states instead of 2^n.
 
-The DP takes a batch: cost tables over the same class sizes, one row per
-member, relaxed together in one flat array along one listing of the
-layers, so a pass pays its numpy calls once for all members; a single DP
-is a batch of one.  The members share the passes.  The first runs at the
-lower bound above taken over all members' costs, at most every member's
-B(full), and a pass at w leaves every member's B(x) exact where it is at
-most w, so a member whose full state a pass reaches leaves the passes with
-B(full) exact, and its back-walk picks the order a DP of its own would.
+`_solve` is the one exact solver of a matroid M, for a list of members:
+M itself, or single-element minors M \\ e and M / e, whose lambda is read
+from M's class ranks with no minor matrix or table.  With E' = E - e,
 
-`single_element_minors` solves the 2n minors M \\ e and M / e in such
-batches, with lambda read from M's class ranks and no minor matrix or
-table.  With E' = E - e,
-
+    M:        lambda(S) = r(S) + r(E - S) - r(E)
     delete:   lambda(S) = r(S) + r(E' - S) - r(E')
-    contract: lambda(S) = r(S + e) + r(E - S) - r(e) - r(E).
+    contract: lambda(S) = r(S + e) + r(E - S) - r(e) - r(E),
 
-The minors are grouped by the class of M that e leaves, and a minor's
-classes are M's with e removed.  Parallel elements of M stay
-interchangeable in M \\ e and M / e, so lambda still depends on the counts
-alone; a contraction can make more elements parallel, which only means
-finer classes and more states than needed, and the back-walk's tie rule
-is the subset DP's whatever the classes.  A simple M, such as every
-catalog entry, gives one batch of 2n members over 2^(n-1) states; a
-parallel-rich one, such as an apex matroid, keeps class-count states.  A
-batch holds at most as many states as M's own DP, or BATCH_STATES when
-that is more, and is sliced to fit.  Each minor's order is certified as
-M's own is: its prefix lambdas by elimination on M's columns, with e's
-column pushed first into both bases for a contraction, compared entry by
-entry with the gathered lambda and with the width (`_certified`).
+each a sum of two class-rank arrays, e's class axis sliced for a minor,
+less its value at S = 0.  A minor's classes are M's with e removed:
+parallel elements of M stay interchangeable in M \\ e and M / e, and a
+contraction that makes more elements parallel only leaves finer classes
+and more states than needed; the back-walk's tie rule is the subset DP's
+whatever the classes.  Members over the same class sizes go to one
+`prefix_dp` call, a cost row each, relaxed together in one flat array
+along one listing of the layers, so a pass pays its numpy calls once for
+all; M alone is a batch of one.  A batch holds at most as many states as
+M's own DP, or BATCH_STATES when that is more, and is sliced to fit: a
+simple M, such as every catalog entry, gives one batch of its 2n minors
+over 2^(n-1) states.  The members share the passes: the first runs at the
+lower bound taken over all members' costs, and a pass at w leaves every
+member's B(x) exact where it is at most w, so a member whose full state a
+pass reaches has B(full) exact and is walked back to the order a DP of its
+own would give.  Every order is certified (`_certified`): its prefix
+lambdas by elimination on M's columns, with e's column pushed first into
+both bases for a contraction, are compared entry by entry with the
+gathered lambda and with the width.
+
+A caller that knows an upper bound u on B(full) passes it, and the DP only
+decides whether B(full) <= u - 1: no pass when the layer bound already
+reaches u, for then B(full) = u, and otherwise one pass at u - 1.  A pass
+at w fails to reach the full state exactly when B(full) > w, so a member
+it does not reach has B(full) = u and gets no order.  A member it reaches
+is walked back as after the pass at B(full), since B is exact wherever it
+is at most u - 1, which covers every value that wins or ties on the walk.
+`pathwidth_exact` passes an ordering, whose certificate `_solve` computes
+by elimination and returns when the DP cannot beat it, so no caller can
+vouch for a width: `reduce --verify` passes the ordering that
+`reduction.decomp_to_ordering` reads off the graph's optimal path
+decomposition, of width at most pw(G) + 1, and `pathwidth_and_minors`
+(behind `verify-excluded`) the order of M's least-width deletion M \\ e
+with e appended, of width at most pw(M \\ e) + 1.  `pathwidth_at_most(M,
+w)` (behind `check-tw1`) passes the width w + 1: its answer is only whether
+B(full) <= w, and a yes is certified as every order is.
 
 The solver has one refusal rule, `matroid.check_budget`, checked before
 anything is allocated: TABLE_BYTES per entry of the simplification's rank
@@ -112,7 +107,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +117,7 @@ from .matroid import VectorMatroid, check_budget, delete, label_key
 LOW_STATES = 1 << 16  # low part of the state space, grouped by digit sum once
 CHUNK = 1 << 12  # states relaxed at once, or 1/128 of the states on large spaces
 ONE_GATHER = 1 << 13  # up to this many predecessors, one gather at computed indices
-# states of one batch of single-element minors, over all its members, when
-# the parent has fewer (single_element_minors)
+# states of one batch of _solve's members, over all of them, when M has fewer
 BATCH_STATES = 1 << 15
 
 
@@ -154,9 +147,6 @@ class WidthCertificate:
             "ordering": list(self.ordering),
             "prefix_lambdas": list(self.prefix_lambdas),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
 
 
 def _check_permutation(M: VectorMatroid, ordering) -> tuple:
@@ -244,12 +234,18 @@ def _class_ranks(M: VectorMatroid, classes) -> tuple:
     return head, tail
 
 
-def _class_lambdas(M: VectorMatroid, classes) -> np.ndarray:
-    """lambda of every class-count state (uint8, module docstring)."""
-    head, tail = _class_ranks(M, classes)
-    lam = head + tail
-    lam -= np.uint8(M.rank_full)
-    return lam.reshape(-1)
+def _gather(head, tail, out, axis=None, op=None) -> None:
+    """lambda of M, or of M \\ e or M / e (op "delete" or "contract") with
+    e's class on axis, over the member's class-count states, written into
+    out from M's class ranks (`_class_ranks`, module docstring).  S + e
+    holds one more of e's class than S, and E' - S = E - (S + e): delete
+    reads r(S) + r(E - (S + e)), contract r(S + e) + r(E - S), M
+    r(S) + r(E - S), each less its value at S = 0."""
+    if axis is not None:
+        count, one_more = (slice(None),) * axis + (slice(-1),), (slice(None),) * axis + (slice(1, None),)
+        head, tail = (head[count], tail[one_more]) if op == "delete" else (head[one_more], tail[count])
+    np.add(head, tail, out=out.reshape(head.shape))
+    out -= out[0]
 
 
 def prefix_dp(cost: np.ndarray, classes, tie_key, upper=None):
@@ -481,15 +477,11 @@ def pathwidth_exact(M: VectorMatroid, upper=None) -> WidthCertificate:
     the class-count states (module docstring).
 
     upper, when given, is an ordering of M's labels.  Its certificate is
-    computed here by elimination (`width_of_ordering`), and the DP only
-    decides whether pw(M) is below that width (`prefix_dp`): the ordering's
+    computed by elimination (`width_of_ordering`), and the DP only decides
+    whether pw(M) is below that width (`prefix_dp`): the ordering's
     certificate is returned when it is not, the DP's own otherwise."""
-    if M.size == 0:
-        return width_of_ordering(M, upper or ())
-    classes = parallel_classes(M)
-    check_budget(1 << len(classes), _strides(classes)[1])
-    bound = None if upper is None else width_of_ordering(M, upper)
-    return _solve(M, classes, None if bound is None else bound.width) or bound
+    (cert,) = _solve(M, [None], None if upper is None else tuple(upper))
+    return cert
 
 
 def pathwidth_at_most(M: VectorMatroid, w: int) -> bool:
@@ -497,42 +489,54 @@ def pathwidth_at_most(M: VectorMatroid, w: int) -> bool:
     layer bound already exceeds w (`prefix_dp` with upper = w + 1).  A yes
     is believed only once the DP's order is certified by elimination on
     M's columns (`_certified`).  Refused as `pathwidth_exact` is."""
-    if M.size == 0:
-        return w >= 0
-    classes = parallel_classes(M)
-    check_budget(1 << len(classes), _strides(classes)[1])
-    return _solve(M, classes, w + 1) is not None
+    (cert,) = _solve(M, [None], w + 1)
+    return cert is not None
 
 
-def _solve(M: VectorMatroid, classes, upper):
-    """The certificate of M's DP (`prefix_dp` with the given upper), or
-    None when the DP gives no order."""
-    lam = _class_lambdas(M, classes)
-    width, order = prefix_dp(lam, classes, lambda i: label_key(M.labels[i]), upper=upper)
-    return None if order is None else _certified(M, lam, classes, width, order)
+def pathwidth_and_minors(M: VectorMatroid) -> tuple:
+    """(`pathwidth_exact(M)`, the (label, "delete" or "contract",
+    certificate) of M \\ e and M / e for every element e, in column order,
+    the deletion first).  The minors are solved first, in batches (module
+    docstring).  M's DP then takes as its upper bound the certified order of
+    the least-width deletion M \\ e (the first in column order) with e
+    appended.  For P within E - e, lambda_M(P) <= lambda_{M \\ e}(P) + 1,
+    since r(E - P) <= r(E - e - P) + 1 and r(E - e) <= r(E), and the full
+    prefix has lambda 0, so that order has width at most pw(M \\ e) + 1; when
+    the layer bound reaches its width the DP runs no pass."""
+    members = [(e, op) for e in range(M.size) for op in ("delete", "contract")]
+    minors = [(M.labels[e], op, cert) for (e, op), cert in zip(members, _solve(M, members))]
+    deletions = [(cert.width, cert.ordering + (lbl,)) for lbl, op, cert in minors if op == "delete"]
+    _, upper = min(deletions, key=lambda d: d[0], default=(0, ()))
+    return pathwidth_exact(M, upper=upper), minors
 
 
-def single_element_minors(M: VectorMatroid) -> list:
-    """(label, "delete" or "contract", certificate) of M \\ e and M / e for
-    every element e, in column order, the deletion first: optimal widths
-    and orderings from batched DP calls on lambda read from M's class ranks,
-    each certified by elimination on M's columns (module docstring).
-    Refused by `check_budget` as `pathwidth_exact(M)` is, and by nothing
-    else: a batch holds at most as many states as M's own DP, or
-    BATCH_STATES when that is more."""
+def _solve(M: VectorMatroid, members, upper=None) -> list:
+    """The certificate of each member's DP (module docstring): M itself for
+    None, M \\ e or M / e for (e, "delete") or (e, "contract"), e a column
+    position.  upper is None, a width u, or an ordering of M's labels of
+    width u (`prefix_dp`): a member the DP cannot beat gets the ordering's
+    certificate, or None when upper is a width.  Refused by `check_budget`
+    for M's own table and states before any work, and by nothing else."""
     classes = parallel_classes(M)
     _, states = _strides(classes)
     check_budget(1 << len(classes), states)
+    bound = None
+    if upper is not None and not isinstance(upper, int):
+        bound = width_of_ordering(M, upper)
+        upper = bound.width
     head, tail = _class_ranks(M, classes)
-    # the minors of each shape of class sizes, with e's class j and the
-    # minor's classes, the parent's with e removed
+    # the members of each shape of class sizes, with the axis of e's class j
+    # (J - 1 - j) and the member's classes, M's with e taken from class j
     groups = {}
-    for j, c in enumerate(classes):
-        for e in c:
-            rest = [d for d in ([i for i in d if i != e] for d in classes) if d]
-            for op in ("delete", "contract"):
-                groups.setdefault(tuple(map(len, rest)), []).append((e, op, j, rest))
-    certs = {}
+    for member in members:
+        rest, axis, op = classes, None, None
+        if member:
+            e, op = member
+            j = next(j for j, c in enumerate(classes) if e in c)
+            kept = [i for i in classes[j] if i != e]
+            rest, axis = classes[:j] + ([kept] if kept else []) + classes[j + 1:], len(classes) - 1 - j
+        groups.setdefault(tuple(map(len, rest)), []).append((member, axis, op, rest))
+    certs, left = {}, len(members)
     for group in groups.values():
         size = _strides(group[0][3])[1]
         per = max(states, BATCH_STATES) // size
@@ -540,35 +544,18 @@ def single_element_minors(M: VectorMatroid) -> list:
             part = group[start:start + per]
             check_budget(1 << len(classes), len(part) * size)
             lam = np.empty((len(part), size), dtype=np.uint8)
-            for row, (e, op, j, _) in zip(lam, part):
-                # S + e holds one more of e's class j (axis J - 1 - j) than
-                # S, and E' - S = E - (S + e): delete reads r(S) + r(E - (S
-                # + e)), contract r(S + e) + r(E - S), each less its value
-                # at S = 0, r(E') or r(e) + r(E)
-                axis = len(classes) - 1 - j
-                count, one_more = (slice(None),) * axis + (slice(-1),), (slice(None),) * axis + (slice(1, None),)
-                h, t = (head[count], tail[one_more]) if op == "delete" else (head[one_more], tail[count])
-                np.add(h, t, out=row.reshape(h.shape))
-                row -= row[0]
-            solved = prefix_dp(lam, [rest for *_, rest in part], lambda i: label_key(M.labels[i]))
-            for (e, op, _, rest), row, (width, order) in zip(part, lam, solved):
-                contracted = M.columns[e] if op == "contract" else None
-                certs[e, op] = _certified(M, row, rest, width, order, contracted)
-    return [(M.labels[e], op, certs[e, op]) for e in range(M.size) for op in ("delete", "contract")]
-
-
-def pathwidth_and_minors(M: VectorMatroid) -> tuple:
-    """(`pathwidth_exact(M)`, `single_element_minors(M)`), the minors solved
-    first.  M's DP then takes as its upper bound the certified order of the
-    least-width deletion M \\ e (the first in column order) with e
-    appended.  For P within E - e, lambda_M(P) <= lambda_{M \\ e}(P) + 1,
-    since r(E - P) <= r(E - e - P) + 1 and r(E - e) <= r(E), and the full
-    prefix has lambda 0, so that order has width at most pw(M \\ e) + 1; when
-    the layer bound reaches its width the DP runs no pass."""
-    minors = single_element_minors(M)
-    deletions = [(cert.width, cert.ordering + (lbl,)) for lbl, op, cert in minors if op == "delete"]
-    _, upper = min(deletions, key=lambda d: d[0], default=(0, ()))
-    return pathwidth_exact(M, upper=upper), minors
+            for row, (_, axis, op, _) in zip(lam, part):
+                _gather(head, tail, row, axis, op)
+            left -= len(part)
+            if not left:
+                # a non-simple M's class ranks are copies of a byte a state:
+                # freed before the last DP, M's own when it is alone
+                del head, tail
+            solved = prefix_dp(lam, [rest for *_, rest in part], lambda i: label_key(M.labels[i]), upper=upper)
+            for (member, _, op, rest), row, (width, order) in zip(part, lam, solved):
+                contracted = M.columns[member[0]] if op == "contract" else None
+                certs[member] = bound if order is None else _certified(M, row, rest, width, order, contracted)
+    return [certs[member] for member in members]
 
 
 def _certified(M: VectorMatroid, lam, classes, width, order, contracted=None) -> WidthCertificate:

@@ -373,17 +373,3 @@ def apex_graph_to_doc(A: ApexGraph) -> dict:
         "twins": {str(lbl): str(A.twin[lbl]) for lbl in labels},
         "graph": graph_to_text(A.base),
     }
-
-
-def apex_graph_from_doc(doc: dict) -> ApexGraph:
-    """Rebuild an ApexGraph from a sidecar document (JSON keys carry labels
-    in string form; the graph text preserves the real label types)."""
-    from .graph import graph_from_text
-
-    base = graph_from_text(doc["graph"])
-    by_str = {str(lbl): lbl for lbl in base.edge_labels()}
-    if len(by_str) != base.edge_count:
-        raise ValueError("edge labels are not distinct after stringification")
-    edge_class = {by_str[k]: v for k, v in doc["edge_class"].items()}
-    twin = {by_str[k]: by_str[v] for k, v in doc["twins"].items()}
-    return ApexGraph(base, int(doc["apex"]), edge_class, twin)

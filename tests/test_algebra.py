@@ -181,7 +181,7 @@ def test_rank_transpose_random():
         f = GF2 if rng.integers(2) else GF3
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         A = matrix(f, [[int(x) for x in row] for row in rng.integers(0, f.q, (m, n))])
-        assert rank(A) == rank(A.transpose())
+        assert rank(A) == rank_of_columns(f, A.columns())
 
 
 # ---------------------------------------------------------------------------

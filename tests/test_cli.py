@@ -307,6 +307,20 @@ def test_violation_exit_code(capsys, monkeypatch):
     assert "VIOLATED" in err
 
 
+@pytest.mark.parametrize("suite", ["p1q", "tw1-codes"])
+def test_a_disagreement_with_the_exact_solver_is_a_violation(capsys, monkeypatch, suite):
+    # the exact side of minors.pw_le_1_by_minors forced to the wrong answer:
+    # the suite records each disagreement as a violation and exits 2
+    from matwidth import minors
+
+    real = minors.pathwidth_at_most
+    monkeypatch.setattr(minors, "pathwidth_at_most", lambda M, w: not real(M, w))
+    code, payload, err = run(capsys, "verify", suite, "--samples", "3")
+    assert code == 2 and "VIOLATED" in err
+    assert len(payload["violations"]) == 3
+    assert all("disagrees with the exact solver" in v["error"] for v in payload["violations"])
+
+
 def test_unknown_theorem_is_error(capsys):
     code, payload, err = run(capsys, "verify", "fermat")
     assert code == 1

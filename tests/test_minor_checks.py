@@ -167,12 +167,13 @@ def test_a_tampered_yes_fails_the_elimination_check(monkeypatch, tamper):
     real = pathwidth.prefix_dp
 
     def tampered(cost, classes, tie_key, upper=None):
-        width, order = real(cost, classes, tie_key, upper)
+        # M's call is a batch of one
+        ((width, order),) = real(cost, classes, tie_key, upper)
         if tamper == "width":
-            return width - 1, order
-        strides, _ = pathwidth._strides(classes)
-        cost[next(s for s, c in zip(strides, classes) if order[0] in c)] += 1
-        return width, order
+            return [(width - 1, order)]
+        strides, _ = pathwidth._strides(classes[0])
+        cost[0][next(s for s, c in zip(strides, classes[0]) if order[0] in c)] += 1
+        return [(width, order)]
 
     M = matroid(GF3, [(1, 0, 1, 1, 0), (0, 1, 1, 2, 0)])
     assert pathwidth_exact(M).width == 2 and pathwidth_at_most(M, 2)
@@ -184,14 +185,16 @@ def test_a_tampered_yes_fails_the_elimination_check(monkeypatch, tamper):
 
 @pytest.fixture
 def dp_calls(monkeypatch):
-    """Every prefix_dp call as {"upper", "lone", "lower_bound", "passes"}."""
+    """Every prefix_dp call as {"upper", "elements", "lower_bound", "passes"},
+    elements the number in each member's classes.  Every call is a batch,
+    M's own one of one."""
     calls = []
     real_dp, real_pass = pathwidth.prefix_dp, pathwidth._StateSpace.threshold_pass
 
     def counted_dp(cost, classes, tie_key, upper=None):
-        lone = cost.ndim == 1
-        space = pathwidth._StateSpace(cost, classes if lone else classes[0])
-        calls.append({"upper": upper, "lone": lone, "lower_bound": space.lower_bound(), "passes": 0})
+        space = pathwidth._StateSpace(cost, classes[0])
+        calls.append({"upper": upper, "elements": sum(map(len, classes[0])), "lower_bound": space.lower_bound(),
+                      "passes": 0})
         return real_dp(cost, classes, tie_key, upper)
 
     def counted_pass(self, w):
@@ -227,7 +230,7 @@ def test_verify_excluded_runs_no_parent_pass_once_the_layer_bound_reaches_the_up
         dp_calls.clear()
         assert cli.main(["verify-excluded", "--w", "2", "--matroid", str(path)]) == 0
         assert '"passed": true' in capsys.readouterr().out
-        (parent,) = [c for c in dp_calls if c["lone"]]
+        (parent,) = [c for c in dp_calls if c["elements"] == entry.matroid.size]
         assert parent["upper"] == 3
         assert parent["passes"] == (0 if parent["lower_bound"] >= parent["upper"] else 1)
         if not parent["passes"]:

@@ -1,4 +1,4 @@
-"""The single-element minor widths of `pathwidth.single_element_minors`, from
+"""The single-element minor widths of `pathwidth.pathwidth_and_minors`, from
 batched DP calls on lambda read from the parent's table, against one
 `pathwidth_exact` call on each minor built by `apply_minor`; the
 elimination check that the batch cannot get round; and the memory a batch
@@ -15,7 +15,7 @@ import matwidth.pathwidth as pathwidth
 from matwidth.graph import complete_graph
 from matwidth.matroid import MinorSpec, apply_minor
 from matwidth.minors import verify_excluded_minor
-from matwidth.pathwidth import parallel_classes, pathwidth_exact, single_element_minors
+from matwidth.pathwidth import parallel_classes, pathwidth_and_minors, pathwidth_exact
 from matwidth.reduction import reduce_instance
 from util import GF2, GF3, GF4, matroid, ref_field_ops
 
@@ -59,7 +59,7 @@ def _matroids(draw):
 @settings(max_examples=120)
 @given(_matroids())
 def test_batched_minor_widths_match_one_solve_per_minor(M):
-    assert single_element_minors(M) == _lone_certificates(M)
+    assert pathwidth_and_minors(M)[1] == _lone_certificates(M)
 
 
 def test_batched_minor_widths_on_the_k4_apex_matroid():
@@ -67,7 +67,7 @@ def test_batched_minor_widths_on_the_k4_apex_matroid():
     # classes of two and its own class as one element
     M, _ = reduce_instance(complete_graph(4), GF2)
     assert M.size == 20 and [len(c) for c in parallel_classes(M)] == [2] * 10
-    got = single_element_minors(M)
+    got = pathwidth_and_minors(M)[1]
     assert got == _lone_certificates(M)
     assert {cert.width for *_, cert in got} == {3}
 
@@ -76,29 +76,26 @@ def test_batched_minor_widths_on_the_k4_apex_matroid():
 @pytest.mark.parametrize("tamper", ["lambda", "width"])
 def test_a_tampered_dp_answer_fails_the_elimination_check(monkeypatch, batch, tamper):
     # raise one lambda the DP returns on its order's first prefix, or its
-    # width, in the first member of the batched or of a lone call: the check
-    # re-derives the lambdas by elimination and refuses either
+    # width, in the first member of a batch of minors or of M's own call, a
+    # batch of one: the check re-derives the lambdas by elimination and
+    # refuses either
     real = pathwidth.prefix_dp
 
     def tampered(cost, classes, tie_key, upper=None):
-        result = real(cost, classes, tie_key, upper)
-        if (cost.ndim == 2) != batch:
-            return result
-        answers = result if batch else [result]
+        answers = real(cost, classes, tie_key, upper)
         width, order = answers[0]
-        member, member_classes = (cost[0], classes[0]) if batch else (cost, classes)
         if tamper == "width":
             answers[0] = width + 1, order
         else:
-            strides, _ = pathwidth._strides(member_classes)
-            member[next(s for s, c in zip(strides, member_classes) if order[0] in c)] += 1
-        return answers if batch else answers[0]
+            strides, _ = pathwidth._strides(classes[0])
+            cost[0][next(s for s, c in zip(strides, classes[0]) if order[0] in c)] += 1
+        return answers
 
     monkeypatch.setattr(pathwidth, "prefix_dp", tampered)
     M = matroid(GF3, [(1, 0, 1, 1, 0, 1), (0, 1, 1, 2, 0, 0), (0, 0, 0, 0, 1, 1)])
     message = "rank table gives lambda" if tamper == "lambda" else "DP width"
     with pytest.raises(AssertionError, match=message):
-        single_element_minors(M) if batch else pathwidth_exact(M)
+        pathwidth_and_minors(M)[1] if batch else pathwidth_exact(M)
 
 
 def _peak(fn, M):
@@ -129,7 +126,7 @@ def test_excluded_minor_check_memory_against_the_parent_dp():
 
 
 def test_no_elements_and_one_element():
-    assert single_element_minors(matroid(GF2, [[]])) == []
+    assert pathwidth_and_minors(matroid(GF2, [[]]))[1] == []
     for rows in ([[0]], [[1]]):
         M = matroid(GF3, rows)
-        assert single_element_minors(M) == _lone_certificates(M)
+        assert pathwidth_and_minors(M)[1] == _lone_certificates(M)

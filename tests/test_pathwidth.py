@@ -27,12 +27,15 @@ from matwidth.pathwidth import (
     NotAPermutation,
     TooFewElements,
     WidthCertificate,
-    _class_lambdas,
+    _class_ranks,
+    _gather,
     _StateSpace,
     _strides,
     branch_width_of_tree,
     caterpillar,
     parallel_classes,
+    pathwidth_and_minors,
+    pathwidth_at_most,
     pathwidth_exact,
     pathwidth_upper_greedy,
     prefix_dp,
@@ -43,6 +46,13 @@ from util import (
     GF2, GF3, GF4, GF5, brute_force_pathwidth, graphic_lambda, matroid, ref_field_ops,
     ref_lambda_table, u24,
 )
+
+
+def _class_lambdas(M, classes):
+    """M's lambda over its class-count states, by the solver's one gather."""
+    lam = np.empty(_strides(classes)[1], dtype=np.uint8)
+    _gather(*_class_ranks(M, classes), lam)
+    return lam
 
 
 def random_matroid(rng, field, n):
@@ -587,6 +597,22 @@ def test_exact_width_of_25_parallel_copies():
     assert cert.width == 1 and cert.prefix_lambdas == (1,) * 24 + (0,)
 
 
+def test_exact_dp_on_an_apex_matroid_holds_no_class_ranks():
+    # C6's apex matroid: 12 parallel pairs, 3^12 states.  Its class ranks
+    # are copies of a byte a state; they are freed before the DP, so the
+    # peak is lambda, B and the DP's chunks, under 4 bytes a state
+    M = apex_matroid(add_apex(simplify_double(cycle_graph(6))), GF2)
+    assert [len(c) for c in parallel_classes(M)] == [2] * 12
+    pathwidth_exact(M)  # caches filled before measuring
+    tracemalloc.start()
+    try:
+        pathwidth_exact(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 3**12
+
+
 def _simple_gf2_columns(n):
     """n distinct nonzero columns of GF(2)^5, as the 5 rows of a matrix."""
     cols = [[(v >> i) & 1 for i in range(5)] for v in range(1, n + 1)]
@@ -634,7 +660,7 @@ def test_every_table_and_dp_is_refused_by_the_budget_before_allocating(monkeypat
     M = matroid(GF2, _simple_gf2_columns(20))
     G = mk_graph(20, [(i, i + 1) for i in range(19)])
     for refused in (M.rank_table, lambda: pathwidth_exact(M), lambda: pathwidth_exact(M, upper=M.labels),
-                    lambda: graph_pathwidth(G)):
+                    lambda: pathwidth_at_most(M, 1), lambda: pathwidth_and_minors(M), lambda: graph_pathwidth(G)):
         tracemalloc.start()
         try:
             with pytest.raises(GroundSetTooLarge, match="over the budget of 1 MB$"):
@@ -651,6 +677,8 @@ def test_empty_and_singleton_matroids():
     empty = VectorMatroid(GfMatrix(GF2, [], cols=0), labels=())
     cert = pathwidth_exact(empty)
     assert cert == WidthCertificate(0, (), ())
+    assert pathwidth_at_most(empty, 0) and not pathwidth_at_most(empty, -1)
+    assert pathwidth_and_minors(empty) == (WidthCertificate(0, (), ()), [])
     loop = matroid(GF2, [(0,)])
     coloop = matroid(GF2, [(1,)])
     assert pathwidth_exact(loop).width == 0
@@ -719,18 +747,12 @@ def test_pw_minor_monotone_small():
 
 def test_golden_certificate_json():
     cert = pathwidth_exact(u24())
-    assert (
-        cert.to_json()
-        == '{"ordering":[4,3,2,1],"prefix_lambdas":[1,2,1,0],"width":2}'
-    )
+    assert cert.to_doc() == {"ordering": [4, 3, 2, 1], "prefix_lambdas": [1, 2, 1, 0], "width": 2}
 
 
 def test_golden_certificate_json_k4():
     cert = pathwidth_exact(cycle_matroid(complete_graph(4), GF2))
-    assert (
-        cert.to_json()
-        == '{"ordering":[6,5,4,3,2,1],"prefix_lambdas":[1,2,2,2,1,0],"width":2}'
-    )
+    assert cert.to_doc() == {"ordering": [6, 5, 4, 3, 2, 1], "prefix_lambdas": [1, 2, 2, 2, 1, 0], "width": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -426,24 +426,6 @@ def test_apex_decomposition_strips_to_base_decomposition():
         assert graph_pathwidth(A.base)[0] == graph_pathwidth(G)[0] + 1
 
 
-def test_apex_graph_sidecar_round_trip():
-    import json
-
-    from matwidth.reduction import apex_graph_from_doc, apex_graph_to_doc
-
-    _, A = reduce_instance(complete_graph(3), GF2)
-    doc = json.loads(json.dumps(apex_graph_to_doc(A)))  # through real JSON
-    B = apex_graph_from_doc(doc)
-    assert B.base == A.base
-    assert B.apex == A.apex
-    assert B.edge_class == A.edge_class
-    assert B.twin == A.twin
-    # the rebuilt apex graph drives the pipeline identically
-    M = apex_matroid(B, GF2)
-    star = reorder(B, M, normalize(B, pathwidth_exact(M).ordering))
-    assert width_of_ordering(M, star).width == pathwidth_exact(M).width
-
-
 def test_reorder_stuck_diagnostic_on_broken_apex_invariants():
     from matwidth.reduction import ApexGraph, ReorderStuck
 
