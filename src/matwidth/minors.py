@@ -283,19 +283,31 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
     walked in lexicographic order in slices.  A slice's (X, Y) pairs are
     the disjoint ones of one mask product, in row-major order, so the
     pairs keep the lexicographic order of a pair-by-pair loop.  Their
-    tables are gathered in one indexing step, and the rows whose sorted
-    keys |S| * (n + 1) + r(S) (`matroid.rank_keys`) differ from the
-    pattern's are rejected together.  The rows left go to
-    `table_isomorphism` one at a time, in order, so the first certificate
-    is the one a pair-by-pair loop finds.  The first slice holds one
-    contract set and each later one twice as many, up to the byte cap
-    `BATCH_BYTES`, so that a find near the front gathers little: a slice of
-    m contract sets against the l delete sets of the right rank gathers at
-    most m * l rows of 2^|pattern| entries, 9 bytes each (an int64 index
-    and a uint8 table), and m is at most the largest with
-    m * l * 2^|pattern| * 9 <= BATCH_BYTES, or 1.
-    tracemalloc peaks below 256 KB on the benchmark's check-minor queries
-    and below 1 MB on 12-element hosts against the w = 1 catalog."""
+    tables are gathered through the cached `_expansions` of the host's and
+    the pattern's sizes, whose row for K = E - X - Y sends each pattern
+    mask S to the host mask of the elements of K that S picks: one `take`
+    of the slice's rows and one gather T(that + X) - |X|.  The rows are
+    then rejected together on their keys |S| * (n + 1) + r(S)
+    (`matroid.rank_keys`): `_key_filter` keeps a row when its histogram of
+    keys is the pattern's, which is when its sorted keys, the first test
+    of `table_isomorphism`, are.  The rows left go to `table_isomorphism`
+    one at a time, in order, so the first certificate is the one a
+    pair-by-pair loop finds.
+
+    The first slice holds one contract set and each later one twice as
+    many, up to the byte cap `BATCH_BYTES`, so that a find near the front
+    gathers little.  Against the l delete sets of the right rank, a
+    contract set X holds its row of the mask product, 9 bytes a delete set,
+    and a candidate row for each delete set disjoint from it, at most
+    p = min(l, C(n_host - |X|, |Y|)).  A candidate row holds 2^|pattern|
+    entries of 10 bytes (its uint8 table and uint8 keys, and the intp index
+    that gathers the table, freed before the keys' intp bins take its
+    place) and its histogram, 9 bytes a bin of `_key_filter`: row bytes in
+    all.  A slice of m contract sets has m at most the largest with
+    m * (9 * l + p * row) <= BATCH_BYTES, or 1.  tracemalloc peaks at
+    143 KB, below 256 KB, on the benchmark's check-minor queries and at
+    800 KB, below 1 MB, on 12-element hosts against the w = 1 catalog,
+    where a rank-3 host against MK4 puts 924 rows in one contract set."""
     n_host, n_pat = host.size, pattern.size
     if n_host > ISO_MAX_GROUND:
         raise GroundSetTooLarge(f"{n_host} > {ISO_MAX_GROUND} elements for an exhaustive search")
@@ -303,17 +315,13 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
         return None
     T = host.rank_table()
     T_pat = pattern.rank_table()
-    inv_pat = iso_invariants(T_pat, n_pat)
-    keys_pat = inv_pat[0]
     rank_keys = matroidmod.rank_keys(n_pat)
-    # (1 << kept) @ bits_t expands each pattern mask S to the host mask with
-    # bit kept[t] set for each bit t of S
-    bits_t = matroidmod.bits(n_pat)
-    elements = np.arange(n_host)
+    combos, ids, expand = _expansions(n_host, n_pat)
     full = host.full_mask
     removals = n_host - n_pat
     max_contract = host.rank_full - pattern.rank_full
     positions = sorted(range(n_host), key=lambda i: matroidmod.label_key(host.labels[i]))
+    row_bytes = None
     for c_size in range(min(max_contract, removals) + 1):
         d_size = removals - c_size
         # every delete set of this size, in lexicographic label order, kept
@@ -327,7 +335,18 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
         all_xs, all_xmasks = _subsets(positions, c_size)
         independent = T[all_xmasks] == c_size
         all_xs, all_xmasks = all_xs[independent], all_xmasks[independent]
-        max_width = max(1, BATCH_BYTES // (len(all_ys) * 9 << n_pat))
+        if row_bytes is None:
+            # the pattern's invariants, once some pair has the right rank
+            inv_pat = iso_invariants(T_pat, n_pat)
+            matching, bins = _key_filter(inv_pat[0])
+            row_bytes = (10 << n_pat) + 9 * bins
+        # the minor's ranks T(S + X) - |X|, read where S + X holds X, which
+        # has rank |X|
+        T_minor = T - np.uint8(c_size)
+        # a contract set's bytes: its row of the mask product, and a row
+        # for each delete set it is disjoint from, at most this many
+        pairs = min(len(all_ys), math.comb(n_host - c_size, d_size))
+        max_width = max(1, BATCH_BYTES // (9 * len(all_ys) + pairs * row_bytes))
         lo, width = 0, 1
         while lo < len(all_xs):
             hi = lo + width
@@ -337,25 +356,67 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
             lo, width = hi, min(2 * width, max_width)
             if not len(xi):
                 continue
-            xmasks = all_xmasks[xi, None]
-            kept = np.nonzero((xmasks | all_ymasks[yi, None]) >> elements & 1 == 0)[1].reshape(len(xi), n_pat)
-            index = (1 << kept) @ bits_t
-            index |= xmasks
-            tables = T[index]
+            xmasks = all_xmasks[xi]
+            # the row of expand of K = E - X - Y sends each pattern mask S to
+            # the host mask of the elements of K that S picks; S + X is that
+            # with X's bits
+            kept = ids[full ^ (xmasks | all_ymasks[yi])]
+            index = expand.take(kept, axis=0).astype(np.intp)
+            index |= xmasks[:, None]
+            tables = T_minor[index]
             del index
-            tables -= np.uint8(c_size)
-            # reject on the sorted keys, as table_isomorphism would one row
-            # at a time
-            keys = tables + rank_keys
-            keys.sort(axis=1, kind="stable")  # a radix sort on uint8, about 15x quicksort
-            for r in np.flatnonzero((keys == keys_pat).all(axis=1)):
-                labels = [host.labels[i] for i in kept[r]]
+            # reject on the keys' histograms, as table_isomorphism would on
+            # the sorted keys one row at a time
+            for r in matching(tables + rank_keys):
+                labels = [host.labels[i] for i in combos[kept[r]]]
                 bij = table_isomorphism(T_pat, pattern.labels, tables[r], labels, inv_pat)
                 if bij is not None:
                     X = frozenset(host.labels[i] for i in all_xs[xi[r]])
                     Y = frozenset(host.labels[i] for i in all_ys[yi[r]])
                     return MinorCertificate(X, Y, bij)
     return None
+
+
+@functools.cache
+def _expansions(n, k):
+    """The k-subsets K of range(n) as (`_combinations(n, k)`, the id of each
+    mask K among them at index K of a 2^n array, expand), read-only, with
+    expand[id(K), S] the mask of the elements of K that the k-bit mask S
+    picks, bit t of S picking K's t-th smallest: uint16, so C(12, 8) * 2^8
+    entries, 253 KB, at most within ISO_MAX_GROUND.  Built column block by
+    column block, S + 2^t being S plus K's t-th element."""
+    combos = _combinations(n, k)
+    ids = np.zeros(1 << n, dtype=np.intp)
+    ids[(1 << combos).sum(axis=1)] = np.arange(len(combos))
+    expand = np.zeros((len(combos), 1 << k), dtype=np.uint16)
+    for t in range(k):
+        np.bitwise_or(expand[:, :1 << t], (1 << combos[:, t, None]).astype(np.uint16), out=expand[:, 1 << t:2 << t])
+    ids.flags.writeable = expand.flags.writeable = False
+    return combos, ids, expand
+
+
+def _key_filter(keys_pat):
+    """(matching, bins): matching(keys) lists the rows of a uint8 (rows,
+    len(keys_pat)) array of keys that hold the same keys as keys_pat, as
+    many times each, so exactly those whose sorted keys equal keys_pat's
+    sorted.  Each of keys_pat's distinct keys has a bin, and every other key
+    the one bin after them; a row matches when its histogram over the bins,
+    counted for all rows by one `np.bincount`, is keys_pat's, which has
+    nothing in the last bin."""
+    counts = np.bincount(keys_pat, minlength=256)
+    distinct = np.flatnonzero(counts)
+    bins = len(distinct) + 1
+    lut = np.full(256, len(distinct), dtype=np.intp)
+    lut[distinct] = np.arange(len(distinct))
+    hist_pat = np.append(counts[distinct], 0)
+
+    def matching(keys):
+        at = lut[keys]
+        at += np.arange(0, len(keys) * bins, bins)[:, None]
+        hist = np.bincount(at.reshape(-1), minlength=len(keys) * bins).reshape(len(keys), bins)
+        return np.flatnonzero((hist == hist_pat).all(axis=1))
+
+    return matching, bins
 
 
 def _subsets(positions, size):

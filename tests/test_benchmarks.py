@@ -22,7 +22,9 @@ SMALLEST = {
 # groups of a script beyond the one its smallest input runs
 GROUPS = {"minor_search.py iso-hosts": ("iso-hosts", "4:1:F7"), "prefix_dp.py graph": ("graph", "16"),
           "prefix_dp.py reduce": ("reduce", "P6"), "minor_search.py replay": ("replay", "W5:MK4"),
-          "minor_search.py tw1": ("tw1", "1:2:1"), "cli_ops.py verify": ("verify", "tw1-codes", "4")}
+          "minor_search.py tw1": ("tw1", "1:2:1"), "cli_ops.py verify": ("verify", "tw1-codes", "4"),
+          "minor_search.py excluded": ("excluded", "F7"), "minor_search.py host12": ("host12", "umbrella-2-2-2-1"),
+          "minor_search.py iso": ("iso", "K25:MK5*")}
 
 
 def test_every_script_has_a_smoke_input():

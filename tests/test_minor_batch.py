@@ -7,27 +7,42 @@ and then handed to `table_isomorphism`.  The batched `minor_contains` must
 return the same certificate (the same X, Y and bijection) or None, and
 must hand `table_isomorphism` exactly the candidates, in the same order,
 that the pairwise loop passes both its rank test and the sorted keys
-|S| * (n + 1) + r(S) that `table_isomorphism` tests first.
+|S| * (n + 1) + r(S) that `table_isomorphism` tests first.  Its two
+kernels are also checked alone: the cached expansion tables against the
+kept-positions matrix product that built each pair's index before, and
+the key-histogram filter against sorted keys.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matwidth.minors as minors
 from matwidth.algebra import GfMatrix
 from matwidth.graph import complete_bipartite, cycle_graph, cycle_matroid, mk_graph
 from matwidth.matroid import (
+    ISO_MAX_GROUND,
     MinorSpec,
     VectorMatroid,
     apply_minor,
+    bits,
     iso_invariants,
     label_key,
     table_isomorphism,
 )
-from matwidth.minors import MinorCertificate, excluded_minor_catalog, minor_contains, uniform_matroid
+from matwidth.minors import (
+    MinorCertificate,
+    _expansions,
+    _key_filter,
+    excluded_minor_catalog,
+    minor_contains,
+    uniform_matroid,
+)
 from util import GF2, GF3, GF4, GF5, matroid, u24
 
 
@@ -207,6 +222,53 @@ def test_edge_cases(monkeypatch):
     cert = minor_contains(u24(), empty)
     assert cert.contract == frozenset() and cert.delete == frozenset(u24().labels) and cert.bijection == {}
     assert minor_contains(u24(), matroid(GF3, [(1, 0, 0)])) is None  # a loop U24 lacks
+
+
+# ---------------------------------------------------------------------------
+# kernels
+
+
+def test_expansions_match_the_kept_positions_construction():
+    # every k-subset K of every ground set within ISO_MAX_GROUND: its row
+    # sends each k-bit mask S to the host mask (1 << kept) @ bits(k), kept
+    # the positions of K in order, as the search built it pair by pair
+    for n in range(ISO_MAX_GROUND + 1):
+        for k in range(n + 1):
+            combos, ids, expand = _expansions.__wrapped__(n, k)  # not kept in the cache
+            kept = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
+            masks = (1 << kept).sum(axis=1)
+            assert (combos == kept).all() and (ids[masks] == np.arange(len(kept))).all()
+            assert expand.dtype == np.uint16 and not expand.flags.writeable and not ids.flags.writeable
+            assert (expand[ids[masks]] == (1 << kept) @ bits(k)).all()
+
+
+@st.composite
+def _keys_and_rows(draw):
+    """A pattern's 2^n_pat keys below (n_pat + 1)^2, n_pat = 0 included, and
+    rows to test: its keys permuted, permuted with one key changed (to one
+    the pattern may lack), or drawn at random from every uint8."""
+    n_pat = draw(st.integers(0, 4))
+    size = 1 << n_pat
+    pattern = draw(st.lists(st.integers(0, (n_pat + 1) ** 2 - 1), min_size=size, max_size=size))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["permuted", "changed", "random"]), max_size=12)):
+        row = list(draw(st.permutations(pattern)))
+        if kind == "changed":
+            row[draw(st.integers(0, size - 1))] = draw(st.integers(0, 255))
+        elif kind == "random":
+            row = draw(st.lists(st.integers(0, 255), min_size=size, max_size=size))
+        rows.append(row)
+    return pattern, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keys_and_rows())
+def test_key_histograms_accept_exactly_the_rows_with_the_sorted_keys(case):
+    pattern, rows = case
+    matching, bins = _key_filter(np.array(pattern, dtype=np.uint8))
+    assert bins == len(set(pattern)) + 1
+    keys = np.array(rows, dtype=np.uint8).reshape(len(rows), len(pattern))
+    assert matching(keys).tolist() == [r for r, row in enumerate(rows) if sorted(row) == sorted(pattern)]
 
 
 # ---------------------------------------------------------------------------

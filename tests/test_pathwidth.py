@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matwidth.pathwidth as pathwidth
 from matwidth import field_new
 from matwidth.algebra import identity_matrix, rank_of_columns
 from matwidth.graph import MultiGraph, complete_graph, cycle_graph, cycle_matroid
@@ -31,6 +32,8 @@ from matwidth.pathwidth import (
     _gather,
     _StateSpace,
     _strides,
+    _walk_back,
+    _walk_back_batch,
     branch_width_of_tree,
     caterpillar,
     parallel_classes,
@@ -397,6 +400,94 @@ def test_prefix_dp_with_an_upper_bound_on_a_batch(monkeypatch):
     got = prefix_dp(cost, [classes] * len(cost), lambda e: e, upper=u)
     assert got == [(width, order) if width < u else (u, None) for width, order in alone]
     assert seen == [u - 1]
+
+
+def _random_members(rng, sizes, count, labels):
+    """count class lists over the class sizes, each a random assignment of
+    distinct elements drawn from range(len(labels))."""
+    ends = list(itertools.accumulate(sizes))
+    members = []
+    for _ in range(count):
+        picked = rng.permutation(len(labels))[:sum(sizes)].tolist()
+        members.append([picked[end - size:end] for end, size in zip(ends, sizes)])
+    return members
+
+
+def _mixed_labels(rng, n):
+    """n labels, ints and strings mixed, with repeats, so that label_key
+    puts the ints first and ties on it fall to the element index."""
+    return [int(x) if rng.integers(2) else f"e{x}" for x in rng.integers(0, n, n)]
+
+
+def _recording_batched_walks(monkeypatch) -> list:
+    """The number of members of each `_walk_back_batch` call, recorded."""
+    walks, real = [], pathwidth._walk_back_batch
+
+    def walk(B, rows, *args):
+        walks.append(len(rows))
+        return real(B, rows, *args)
+
+    monkeypatch.setattr(pathwidth, "_walk_back_batch", walk)
+    return walks
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_walk_gives_each_member_the_lone_walk(seed):
+    # singleton and multi-member classes, int and str labels, and any rows
+    # of B walked, on random B (the walk reads B, whatever made it)
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        sizes = [int(s) for s in rng.integers(1, 4, int(rng.integers(1, 6)))]
+        labels = _mixed_labels(rng, 2 * sum(sizes))
+        members = _random_members(rng, sizes, int(rng.integers(2, 7)), labels)
+        strides, size = _strides(members[0])
+        B = rng.integers(0, 6, (len(members), size)).astype(np.uint8)
+        rows = sorted(rng.choice(len(members), int(rng.integers(2, len(members) + 1)), replace=False).tolist())
+        tie_key = lambda e: label_key(labels[e])  # noqa: E731
+        alone = [_walk_back(B[k], members[k], strides, tie_key) for k in rows]
+        assert _walk_back_batch(B, rows, members, strides, tie_key) == alone
+
+
+def test_batched_walk_of_members_with_no_elements():
+    B = np.zeros((3, 1), dtype=np.uint8)
+    assert _walk_back(B[0], [], [], label_key) == []
+    assert _walk_back_batch(B, [0, 2], [[], [], []], [], label_key) == [[], []]
+
+
+@pytest.mark.parametrize("together", [2, pathwidth.WALK_TOGETHER])
+def test_a_batch_walks_back_each_member_as_alone(monkeypatch, together):
+    # the members a pass reaches are walked back, together when there are
+    # enough of them, the others in a later pass, or with an upper bound
+    # not at all
+    monkeypatch.setattr(pathwidth, "WALK_TOGETHER", together)
+    walks = _recording_batched_walks(monkeypatch)
+    rng = np.random.default_rng(571)
+    sizes = [2, 1, 3, 1]
+    for _ in range(20):
+        labels = _mixed_labels(rng, 9)
+        members = _random_members(rng, sizes, 8, labels)
+        _, size = _strides(members[0])
+        cost = rng.integers(0, 5, (len(members), size)).astype(np.uint8)
+        tie_key = lambda e: label_key(labels[e])  # noqa: E731
+        alone = [prefix_dp(row, classes, tie_key) for row, classes in zip(cost, members)]
+        assert prefix_dp(cost, members, tie_key) == alone
+        u = max(width for width, _ in alone)
+        assert prefix_dp(cost, members, tie_key, upper=u) == [
+            (width, order) if width < u else (u, None) for width, order in alone]
+    assert min(walks) >= together and min(walks) < 8
+
+
+def test_the_minors_of_a_one_element_matroid_are_walked_as_a_batch(monkeypatch):
+    # M \\ e and M / e have no elements: a batch of two with no step to
+    # walk, walked together once two are enough
+    monkeypatch.setattr(pathwidth, "WALK_TOGETHER", 2)
+    walks = _recording_batched_walks(monkeypatch)
+    empty = WidthCertificate(0, (), ())
+    for M in (matroid(GF2, [(0,)]), matroid(GF3, [(1,)], ["x"])):
+        cert, minors = pathwidth_and_minors(M)
+        assert cert.width == 0
+        assert minors == [(M.labels[0], "delete", empty), (M.labels[0], "contract", empty)]
+    assert walks == [2, 2]
 
 
 def _seeded_matroid(rng, field, n):
