@@ -252,12 +252,6 @@ class GfMatrix:
         self.cols = cols
         self.entries = rows
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 

@@ -11,8 +11,10 @@ STATE_BYTES per DP state must fit in EXACT_BYTES, what a simple
 24-element matroid needs.  `rank_table`, `pathwidth_exact` and
 `graph_pathwidth` call it, so no table has more than 2^24 entries and a
 graph DP no more than 2^25 states.  The exhaustive searches (isomorphism
-and the minor search) share ISO_MAX_GROUND = 12 elements, which `bits(n)`
-needs.  Ground sets are bitmasks of at most MAX_GROUND = 64 elements.
+and the minor search) share ISO_MAX_GROUND = 12 elements, within which the
+minor search's largest expansion table (`minors._expansions`, uint16) has
+C(12, 8) * 2^8 entries, 253 KB.  Ground sets are bitmasks of at most
+MAX_GROUND = 64 elements.
 
 `rank_table` builds the table of N, the column matroid of an m x n
 generator: of the row space C (dimension k) when k <= n - k, else of its
@@ -74,8 +76,9 @@ and e goes only to an element with e's counts (after McKay and Piperno,
 "Practical graph isomorphism, II", 2014).  That refuses tables whose
 counts differ without a search, but bounds nothing when they agree.  The
 partial map is two index arrays (its docstring); `bits(n)`, the cached
-bit matrix of every S < 2^n, gives the popcounts, the final check of the
-bijection and the minor search's expansion of pattern masks to host masks.
+bit matrix of every S < 2^n, gives the popcounts and the final check of
+the bijection.  The minor search expands pattern masks to host masks
+through its own uint16 tables (`minors._expansions`).
 """
 
 from __future__ import annotations

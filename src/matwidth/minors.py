@@ -280,34 +280,36 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
     each contract size, the delete sets Y are listed once, in lexicographic
     order, and those of the wrong rank dropped (the rank test does not
     involve X); the independent contract sets X are listed once too, and
-    walked in lexicographic order in slices.  A slice's (X, Y) pairs are
-    the disjoint ones of one mask product, in row-major order, so the
-    pairs keep the lexicographic order of a pair-by-pair loop.  Their
-    tables are gathered through the cached `_expansions` of the host's and
-    the pattern's sizes, whose row for K = E - X - Y sends each pattern
-    mask S to the host mask of the elements of K that S picks: one `take`
-    of the slice's rows and one gather T(that + X) - |X|.  The rows are
-    then rejected together on their keys |S| * (n + 1) + r(S)
-    (`matroid.rank_keys`): `_key_filter` keeps a row when its histogram of
-    keys is the pattern's, which is when its sorted keys, the first test
-    of `table_isomorphism`, are.  The rows left go to `table_isomorphism`
-    one at a time, in order, so the first certificate is the one a
-    pair-by-pair loop finds.
+    walked in lexicographic order in slices.  Both are held only as masks
+    over the host's positions, and a certificate's X and Y are read back
+    from them.  A slice's (X, Y) pairs are the disjoint ones of one mask
+    product, in row-major order, so the pairs keep the lexicographic order
+    of a pair-by-pair loop.  Their tables are gathered through the cached
+    `_expansions` of the host's and the pattern's sizes, whose row for
+    K = E - X - Y sends each pattern mask S to the host mask of the
+    elements of K that S picks: one `take` of the slice's rows and one
+    gather T(that + X) - |X|.  The rows are then rejected together on
+    their keys |S| * (n + 1) + r(S) (`matroid.rank_keys`): `_key_filter`
+    keeps a row when its histogram of keys is the pattern's, which is when
+    its sorted keys, the first test of `table_isomorphism`, are.  The rows
+    left go to `table_isomorphism` one at a time, in order, so the first
+    certificate is the one a pair-by-pair loop finds.
 
-    The first slice holds one contract set and each later one twice as
-    many, up to the byte cap `BATCH_BYTES`, so that a find near the front
-    gathers little.  Against the l delete sets of the right rank, a
-    contract set X holds its row of the mask product, 9 bytes a delete set,
-    and a candidate row for each delete set disjoint from it, at most
-    p = min(l, C(n_host - |X|, |Y|)).  A candidate row holds 2^|pattern|
-    entries of 10 bytes (its uint8 table and uint8 keys, and the intp index
-    that gathers the table, freed before the keys' intp bins take its
-    place) and its histogram, 9 bytes a bin of `_key_filter`: row bytes in
-    all.  A slice of m contract sets has m at most the largest with
-    m * (9 * l + p * row) <= BATCH_BYTES, or 1.  tracemalloc peaks at
-    143 KB, below 256 KB, on the benchmark's check-minor queries and at
-    800 KB, below 1 MB, on 12-element hosts against the w = 1 catalog,
-    where a rank-3 host against MK4 puts 924 rows in one contract set."""
+    Each contract size has one slice width, set by the byte cap
+    `BATCH_BYTES` alone: every slice of that size but the last holds the
+    same number m of contract sets.  Against the l delete sets of the
+    right rank, a contract set X holds its row of the mask product, 9
+    bytes a delete set, and a candidate row for each delete set disjoint
+    from it, at most p = min(l, C(n_host - |X|, |Y|)).  A candidate row
+    holds 2^|pattern| entries of 10 bytes (its uint8 table and uint8 keys,
+    and the intp index that gathers the table, freed before the keys' intp
+    bins take its place) and its histogram, 9 bytes a bin of
+    `_key_filter`: row bytes in all.  m is the largest with
+    m * (9 * l + p * row) <= BATCH_BYTES, or 1.  In a fresh interpreter,
+    tracemalloc peaks at 147 KB, below 256 KB, on the benchmark's
+    check-minor queries and at 763 KB, below 1 MB, on 12-element hosts
+    against the w = 1 catalog, where a rank-3 host against MK4 puts 924
+    rows in one contract set."""
     n_host, n_pat = host.size, pattern.size
     if n_host > ISO_MAX_GROUND:
         raise GroundSetTooLarge(f"{n_host} > {ISO_MAX_GROUND} elements for an exhaustive search")
@@ -320,21 +322,21 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
     full = host.full_mask
     removals = n_host - n_pat
     max_contract = host.rank_full - pattern.rank_full
-    positions = sorted(range(n_host), key=lambda i: matroidmod.label_key(host.labels[i]))
+    # the host's positions in label order: index subsets taken in
+    # lexicographic order pick subsets in lexicographic label order
+    order = np.array(sorted(range(n_host), key=lambda i: matroidmod.label_key(host.labels[i])), dtype=np.intp)
     row_bytes = None
     for c_size in range(min(max_contract, removals) + 1):
         d_size = removals - c_size
         # every delete set of this size, in lexicographic label order, kept
         # where the minor has the pattern's rank: T(E - Y) - |X| = r(pattern)
-        all_ys, all_ymasks = _subsets(positions, d_size)
-        right_rank = T[full ^ all_ymasks] == c_size + pattern.rank_full
-        all_ys, all_ymasks = all_ys[right_rank], all_ymasks[right_rank]
-        if not len(all_ys):
+        ymasks = (1 << order[_combinations(n_host, d_size)]).sum(axis=1)
+        ymasks = ymasks[T[full ^ ymasks] == c_size + pattern.rank_full]
+        if not len(ymasks):
             continue
         # only independent contract sets are needed
-        all_xs, all_xmasks = _subsets(positions, c_size)
-        independent = T[all_xmasks] == c_size
-        all_xs, all_xmasks = all_xs[independent], all_xmasks[independent]
+        xmasks = (1 << order[_combinations(n_host, c_size)]).sum(axis=1)
+        xmasks = xmasks[T[xmasks] == c_size]
         if row_bytes is None:
             # the pattern's invariants, once some pair has the right rank
             inv_pat = iso_invariants(T_pat, n_pat)
@@ -345,24 +347,20 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
         T_minor = T - np.uint8(c_size)
         # a contract set's bytes: its row of the mask product, and a row
         # for each delete set it is disjoint from, at most this many
-        pairs = min(len(all_ys), math.comb(n_host - c_size, d_size))
-        max_width = max(1, BATCH_BYTES // (9 * len(all_ys) + pairs * row_bytes))
-        lo, width = 0, 1
-        while lo < len(all_xs):
-            hi = lo + width
+        pairs = min(len(ymasks), math.comb(n_host - c_size, d_size))
+        width = max(1, BATCH_BYTES // (9 * len(ymasks) + pairs * row_bytes))
+        for lo in range(0, len(xmasks), width):
             # the disjoint (X, Y) pairs of the slice, in lexicographic order
-            xi, yi = np.nonzero((all_xmasks[lo:hi, None] & all_ymasks) == 0)
-            xi += lo
-            lo, width = hi, min(2 * width, max_width)
+            xi, yi = np.nonzero((xmasks[lo:lo + width, None] & ymasks) == 0)
             if not len(xi):
                 continue
-            xmasks = all_xmasks[xi]
+            xs, ys = xmasks[lo + xi], ymasks[yi]
             # the row of expand of K = E - X - Y sends each pattern mask S to
             # the host mask of the elements of K that S picks; S + X is that
             # with X's bits
-            kept = ids[full ^ (xmasks | all_ymasks[yi])]
+            kept = ids[full ^ (xs | ys)]
             index = expand.take(kept, axis=0).astype(np.intp)
-            index |= xmasks[:, None]
+            index |= xs[:, None]
             tables = T_minor[index]
             del index
             # reject on the keys' histograms, as table_isomorphism would on
@@ -371,8 +369,8 @@ def minor_contains(host: VectorMatroid, pattern: VectorMatroid):
                 labels = [host.labels[i] for i in combos[kept[r]]]
                 bij = table_isomorphism(T_pat, pattern.labels, tables[r], labels, inv_pat)
                 if bij is not None:
-                    X = frozenset(host.labels[i] for i in all_xs[xi[r]])
-                    Y = frozenset(host.labels[i] for i in all_ys[yi[r]])
+                    X = frozenset(host.labels_of(int(xs[r])))
+                    Y = frozenset(host.labels_of(int(ys[r])))
                     return MinorCertificate(X, Y, bij)
     return None
 
@@ -417,14 +415,6 @@ def _key_filter(keys_pat):
         return np.flatnonzero((hist == hist_pat).all(axis=1))
 
     return matching, bins
-
-
-def _subsets(positions, size):
-    """Every size-subset of positions in lexicographic order, as a
-    (count, size) array of positions and their bitmasks: the combinations
-    of the indices, `_combinations`, mapped through positions."""
-    subsets = np.asarray(positions, dtype=np.intp)[_combinations(len(positions), size)]
-    return subsets, (1 << subsets).sum(axis=1)
 
 
 @functools.cache

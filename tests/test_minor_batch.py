@@ -39,6 +39,7 @@ from matwidth.minors import (
     MinorCertificate,
     _expansions,
     _key_filter,
+    catalog_entry,
     excluded_minor_catalog,
     minor_contains,
     uniform_matroid,
@@ -178,8 +179,8 @@ def test_batched_search_matches_pairwise_loop_on_graph_hosts(monkeypatch):
 
 @pytest.mark.parametrize("batch_bytes", [0, 1 << 30])
 def test_slice_size_changes_nothing(batch_bytes, monkeypatch):
-    # 0: one contract set per slice; 1 << 30: no cap, the slices double to
-    # the end of each contract size
+    # 0: one contract set per slice; 1 << 30: no cap, one slice for each
+    # contract size
     monkeypatch.setattr(minors, "BATCH_BYTES", batch_bytes)
     for G in _benchmark_graphs():
         host = cycle_matroid(G, GF3)
@@ -194,6 +195,29 @@ def test_slice_size_changes_nothing(batch_bytes, monkeypatch):
             for pattern in (_relabelled_minor(rng, host), _random_pattern(rng, field), catalog[t % len(catalog)]):
                 found.append(_assert_same_search(host, pattern, monkeypatch))
     assert any(found) and not all(found)
+
+
+def test_one_slice_per_contract_size_without_a_cap(monkeypatch):
+    # the slice width comes from the byte cap alone: with no cap, each
+    # contract size is one slice, counted as one call of the key filter
+    monkeypatch.setattr(minors, "BATCH_BYTES", 1 << 30)
+    slices = []
+
+    def counting(keys_pat):
+        matching, bins = _key_filter(keys_pat)
+
+        def counted(keys):
+            slices.append(len(keys))
+            return matching(keys)
+
+        return counted, bins
+
+    monkeypatch.setattr(minors, "_key_filter", counting)
+    host = cycle_matroid(complete_bipartite(2, 5), GF3)
+    mk4 = catalog_entry("MK4", GF3).matroid
+    assert minor_contains(host, mk4) is None  # K25 is series-parallel
+    contract_sizes = min(host.rank_full - mk4.rank_full, host.size - mk4.size) + 1
+    assert 0 < len(slices) <= contract_sizes
 
 
 def test_rank_filter_runs_before_the_layer_test(monkeypatch):
