@@ -23,7 +23,9 @@ milliseconds.  Inputs, each a seeded [n, k] code over GF(q):
 - "low-rank": [20, 4] codes, whose q^4 codewords were cheap to count;
 - "tw-codes": the byte-field shapes of mwbench's tw-codes workload, [15, 7]
   and [15, 8] over GF(5), [16, 6] over GF(16) and [16, 8] over GF(17), and
-  [16, 8] over GF(9), whose sum is neither an XOR nor an integer sum mod p.
+  [16, 8] over GF(9), whose sum is neither an XOR nor an integer sum mod p,
+  and over GF(127) and GF(131), the primes on either side of the rule
+  that sums in uint8 below 128 and through the add table from there.
 
 The answer is the sum of the table, which must agree between trees.
 """
@@ -43,7 +45,7 @@ CROSSOVER = [
 SMALL = [(3, 8, 4), (3, 9, 5), (3, 9, 8), (3, 10, 5), (3, 10, 6), (4, 6, 3), (4, 7, 3), (4, 10, 4),
          (4, 10, 6), (2, 8, 4), (2, 10, 5), (256, 8, 2)]
 LOW_RANK = [(q, 20, 4) for q in (3, 4, 5, 16)]
-TW_CODES = [(5, 15, 7), (5, 15, 8), (16, 16, 6), (17, 16, 8), (9, 16, 8)]
+TW_CODES = [(5, 15, 7), (5, 15, 8), (16, 16, 6), (17, 16, 8), (9, 16, 8), (127, 16, 8), (131, 16, 8)]
 
 
 def runner(q: str, n: str, k: str):

@@ -288,8 +288,10 @@ def identity_matrix(field: FieldSpec, n: int) -> GfMatrix:
 # (`matroid._word_step`) and on bytes over every other field
 # (`matroid._byte_step`).
 # Subtracting c times a row y from x reads m = mul_table[-c] once and then
-# add_table[x][m[y]] per entry; the byte step likewise reads each residue's
-# multiplier once and then one product and one sum per entry.
+# add_table[x][m[y]] per entry.  The byte step reads each residue's
+# multiplier once, from a q x q table of -e / c, and then makes one product
+# gather per entry and one sum: an XOR in characteristic 2, a uint8 sum
+# less p over the primes below 128, the add table otherwise.
 
 
 def _unit_row(field: FieldSpec, v):

@@ -43,11 +43,13 @@ residue and the step depend on the field (`_encode`, `_word_step`,
 - GF(4): two uint16 planes, of the coefficients of 1 and of x in
   c0 + c1 x, with x^2 = x + 1; the step is XOR, as over GF(2), of the
   head scaled by the residue's entry over the head's.
-- every other field: one byte an entry; each residue's multiplier
-  -e / c (e its entry at the head's pivot, c the head's) is read once,
-  then one product gather mul[multiplier, head entry] per entry and the
-  sum, an XOR in characteristic 2 and an add-table gather otherwise, in
-  slices of at most SLICE_ENTRIES = 2^13 entries.
+- every other field: one byte an entry; the head's pivot row comes from
+  m masked stores, the head's entry c and each residue's entry e there
+  from flat gathers, and the residue's multiplier -e / c from one cached
+  q x q table; then one product gather mul[multiplier, head entry] per
+  entry and the sum: an XOR in characteristic 2, a uint8 sum folded by
+  min(s, s - p) over the primes p < 128, an add-table gather otherwise,
+  in slices of at most SLICE_ENTRIES = 2^13 entries.
 
 Only the low a = min(n, 16) elements are doubled, so at most
 CHUNK_WORDS = 2^16 subsets are in flight, with at most 2^(a-1) residues
@@ -397,33 +399,57 @@ def _word_step(field, res, out) -> None:
 
 def _byte_step(field, res, out) -> None:
     """`_word_step` on byte planes (m, R + 1, N), one byte an entry.  The
-    pivot is the head's first nonzero entry c; a residue whose entry there
-    is e adds g * head, g = -e / c = e * (-1 / c), its multiplier, read once
-    per residue, (R, N) in all.  Then one product gather mul[g, y] per
-    entry, y the head's, and the sum x + mul[g, y] with x the residue's:
-    an XOR in characteristic 2, a gather of add otherwise.  The gathers
-    index the flat tables at g * q + y < q^2 <= 65536 (uint16).  A zero
-    head has c = 0, whose inverse in the field's table is 0, so g = 0 and
-    the residues are unchanged.  np.take copies its indices to intp, so the
-    subsets go in slices of at most SLICE_ENTRIES entries."""
+    pivot is the head's first nonzero entry c, in the row `lead` that m
+    masked stores find, the last row first so that the first nonzero row
+    is stored last.  c and each residue's entry e there are flat gathers
+    from res, and the residue adds g * head, its multiplier g = -e / c read
+    as g * q from `_multipliers`, (R, N) in all.  Then one product gather
+    mul[g, y] per entry, y the head's, at g * q + y < 65536 (uint16), and
+    the sum s = x + mul[g, y] with x the residue's: an XOR in
+    characteristic 2; over the primes p < 128 the uint8 sum (at most 2p -
+    2 <= 252), then min(s, s - p), since s - p wraps past 255 where s < p;
+    an add-table gather otherwise.  A zero head has lead 0 and c = 0, so g
+    = 0 and the residues are unchanged.  np.take copies its indices to
+    intp, so the subsets go in slices of at most SLICE_ENTRIES entries."""
     m, R, N = out.shape
     q = np.uint16(field.q)
     add, mul = field.add_array.ravel(), field.mul_array.ravel()
     head, rest = res[:, 0], res[:, 1:]
-    lead = (head != 0).argmax(axis=0)[None]
-    neg_inv = field.neg_array[field.inv_array[np.take_along_axis(head, lead, axis=0)]]
-    gq = mul[np.take_along_axis(rest, lead[None], axis=0)[0] * q + neg_inv] * q
+    # at[t]: the flat index in res of head t's pivot, lead * (R + 1) * N + t
+    at = np.zeros(N, dtype=np.intp)
+    for lead in range(m - 1, -1, -1):
+        at[head[lead] != 0] = lead * (R + 1) * N
+    at += np.arange(N)
+    flat = res.reshape(-1)
+    e = flat.take(at + np.arange(N, (R + 1) * N, N)[:, None])
+    gq = _multipliers(field).ravel().take(flat.take(at) * q + e)
+    small_prime = field.k == 1 and field.p < 128
     width = max(1, SLICE_ENTRIES // (m * R))
     for lo in range(0, N, width):
         part = slice(lo, lo + width)
         idx = gq[:, part] + head[:, None, part]
         prod = mul.take(idx)
+        x, s = rest[:, :, part], out[:, :, part]
         if field.p == 2:
-            np.bitwise_xor(rest[:, :, part], prod, out=out[:, :, part])
+            np.bitwise_xor(x, prod, out=s)
+        elif small_prime:
+            np.add(x, prod, out=s)
+            np.subtract(s, np.uint8(field.p), out=prod)
+            np.minimum(s, prod, out=s)
         else:
-            np.multiply(rest[:, :, part], q, out=idx)
+            np.multiply(x, q, out=idx)
             idx += prod
-            add.take(idx, out=out[:, :, part])
+            add.take(idx, out=s)
+
+
+@functools.cache
+def _multipliers(field) -> np.ndarray:
+    """The read-only q x q uint16 table of g * q at [c, e], g = -e / c the
+    multiplier that makes e + g * c = 0, and 0 where c = 0."""
+    g = field.mul_array[field.neg_array[None, :], field.inv_array[:, None]]
+    table = g.astype(np.uint16) * np.uint16(field.q)
+    table.flags.writeable = False
+    return table
 
 
 def _bit_positions(mask: int):

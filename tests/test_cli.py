@@ -485,6 +485,38 @@ def test_graph_files_parse_or_fail_with_the_error_contract(tmp_path_factory, tex
         assert code == 0 and parsed and "matrix" in doc
 
 
+_MATRIX_TOKENS = st.one_of(
+    _GRAPH_TOKENS,
+    st.sampled_from(["2^2", "3^2", "2^8", "2^9", "2^0", "0^3", "1^2", "-2^2", "2^-1", "2^", "^2", "2^2^2",
+                     "256", "257", "131", "GF(4)"]),
+)
+# arbitrary text, and lines of tokens near the matrix format
+MATRIX_TEXTS = st.one_of(st.text(), st.lists(st.lists(_MATRIX_TOKENS, max_size=5).map(" ".join),
+                                             max_size=8).map("\n".join))
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRIX_TEXTS)
+def test_matrix_files_parse_or_fail_with_the_error_contract(tmp_path_factory, text):
+    # matrix_from_lines raises only MatrixFormatError, and `tw` on the file
+    # answers or exits 1 with a JSON error, exiting 1 whenever parsing fails
+    try:
+        algebra.matrix_from_lines(text.splitlines())
+        parsed = True
+    except algebra.MatrixFormatError:
+        parsed = False
+    p = tmp_path_factory.getbasetemp() / "arbitrary.mat"
+    p.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["tw", str(p)])
+    doc = json.loads(out.getvalue())
+    if code == 1:
+        assert list(doc) == ["error"] and err.getvalue().startswith("error: ")
+    else:
+        assert code == 0 and parsed and "certificate" in doc
+
+
 def test_reduce_refuses_a_large_graph_before_building_it(capsys, tmp_path):
     # 1,000,000 vertices and no edges: the apex graph would have 2,000,000
     # edges, refused from the counts alone

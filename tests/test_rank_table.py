@@ -7,7 +7,9 @@ GF(2), GF(3) and GF(4), bytes otherwise) and both routes (the code itself
 when k <= n - k, its dual otherwise).  Past 16 elements, where the sweep
 runs one doubling per subset of the high elements, elimination is checked
 on seeded masks of every block.  Each one-row step, on words and on
-bytes, is checked against `reduce_vector`.
+bytes (through each of the byte step's three sums), is checked against
+`reduce_vector`, and the byte step's table of multipliers against the
+field's arithmetic.
 """
 
 import tracemalloc
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from matwidth import field_new
 from matwidth.algebra import GfMatrix, identity_matrix, rank_of_columns, reduce_vector
 from matwidth.matroid import (CHUNK_WORDS, SLICE_ENTRIES, VectorMatroid, _byte_step, _encode,
-                              _sweep_ranks, _word_step)
+                              _multipliers, _sweep_ranks, _word_step)
 from matwidth.pathwidth import pathwidth_exact
 from util import (GF2, GF3, GF4, GF5, GF256, REF_FIELDS, matroid, ref_random_rows,
                   ref_rank_table)
@@ -28,6 +30,7 @@ from util import (GF2, GF3, GF4, GF5, GF256, REF_FIELDS, matroid, ref_random_row
 GF9 = field_new(3, 2)
 GF16 = field_new(2, 4)
 GF17 = field_new(17)
+GF7, GF127, GF131, GF251 = (field_new(p) for p in (7, 127, 131, 251))
 
 
 def elimination_table(M) -> list:
@@ -120,7 +123,24 @@ def test_pathwidth_refuses_a_forged_rank_table():
         pathwidth_exact(M)
 
 
-BYTE_FIELDS = [f for f, _ in REF_FIELDS if f.q > 4] + [GF9, GF16, GF17]
+# the byte step's three sums: XOR in characteristic 2; a uint8 sum less p
+# over the primes below 128 (GF(5), GF(7), GF(17), GF(127)); the add table
+# over odd prime powers and the primes from 131
+BYTE_FIELDS = [f for f, _ in REF_FIELDS if f.q > 4] + [GF7, GF9, GF16, GF17, GF127, GF131, GF251]
+
+
+@pytest.mark.parametrize("field", [f for f, _ in REF_FIELDS] + [GF131], ids=str)
+def test_multipliers_cancel_each_entry(field):
+    # g = table[c, e] / q makes c * g + e = 0 for every c != 0, and is 0
+    # at c = 0, where the step must leave the residues unchanged
+    q = field.q
+    table = _multipliers(field)
+    assert table.dtype == np.uint16 and table.shape == (q, q) and not table.flags.writeable
+    assert not (table % q).any()
+    g = table // q
+    assert not g[0].any()
+    c, e = np.arange(1, q)[:, None], np.arange(q)[None, :]
+    assert not field.add_array[field.mul_array[c, g[1:]], e].any()
 
 
 @pytest.mark.parametrize("field", BYTE_FIELDS, ids=str)
@@ -287,7 +307,7 @@ def test_sweep_matches_elimination_past_one_block(field, n, m):
 
 @st.composite
 def small_matrices(draw):
-    field = draw(st.sampled_from([GF2, GF3, GF4, GF5, GF9, GF16, GF17, GF256]))
+    field = draw(st.sampled_from([GF2, GF3, GF4, GF5, GF9, GF16, GF17, GF131, GF256]))
     n = draw(st.integers(0, 8))
     rows = draw(st.integers(0, n + 1))
     entries = draw(st.lists(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n),
