@@ -414,6 +414,11 @@ def matrix_from_lines(lines, start: int = 0) -> tuple:
     if m < 0 or n < 0:
         raise MatrixFormatError("row and column counts must be nonnegative", line=i + 1)
     i += 1
+    if n == 0:
+        # the m empty rows, written as blank lines, are read from none
+        if m > len(lines) - i:
+            raise MatrixFormatError(f"expected {m} rows, found {len(lines) - i} lines", line=i)
+        return GfMatrix(field, [()] * m, cols=0), i
     rows = []
     for r in range(m):
         while i < len(lines) and not lines[i].strip():

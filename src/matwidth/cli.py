@@ -82,21 +82,22 @@ def cmd_reduce(args) -> CommandResult:
     return CommandResult(status, payload, summary)
 
 
-def _load_pattern(token: str, field) -> tuple:
+def _load_pattern(token: str, field):
+    """A catalog entry's matroid, None if it has none over field, or a file's."""
     try:
         entry = minors.catalog_entry(token, field)
-        return entry.name, entry.matroid
     except KeyError:
-        pass
-    return token, matroid.matroid_from_text(_read(token))
+        return matroid.matroid_from_text(_read(token))
+    return None if entry is None else entry.matroid
 
 
 def cmd_check_minor(args) -> CommandResult:
     host = matroid.matroid_from_text(_read(args.host))
-    name, pattern = _load_pattern(args.pattern, host.field)
-    cert = minors.minor_contains(host, pattern)
+    name, pattern = args.pattern, _load_pattern(args.pattern, host.field)
+    cert = None if pattern is None else minors.minor_contains(host, pattern)
     if cert is None:
-        return CommandResult(OK, {"result": "absent"}, f"no {name} minor")
+        why = f": {name} has no representation over {host.field!r}" if pattern is None else ""
+        return CommandResult(OK, {"result": "absent"}, f"no {name} minor{why}")
     cert.pattern_name = name
     if not minors.replay_certificate(host, pattern, cert):
         return CommandResult(ERROR, {"result": "invalid-certificate"}, "certificate replay failed")

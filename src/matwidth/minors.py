@@ -24,7 +24,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import matroid as matroidmod
-from .algebra import FieldSpec, GfMatrix, echelon_push, rank_of_columns
+from .algebra import FieldSpec, GfMatrix, echelon_push, field_new, rank_of_columns
 from .matroid import (
     ISO_MAX_GROUND,
     GroundSetTooLarge,
@@ -252,11 +252,14 @@ def _dual_rank_ok(Md: VectorMatroid, M: VectorMatroid) -> bool:
     return True
 
 
-def catalog_entry(name: str, field: FieldSpec) -> CatalogEntry:
-    for w in (1, 2):
-        for e in excluded_minor_catalog(w, field):
+def catalog_entry(name: str, field: FieldSpec):
+    """The catalog entry named name over field; None for an entry with no
+    representation over field (one of GF(4)'s, which represents them all),
+    never a minor of a matroid over field.  KeyError for any other name."""
+    for f in (field, field_new(2, 2)):
+        for e in excluded_minor_catalog(1, f) + excluded_minor_catalog(2, f):
             if e.name == name:
-                return e
+                return e if f == field else None
     raise KeyError(f"unknown catalog entry {name!r}")
 
 

@@ -59,14 +59,15 @@ minors of `verify minor-monotone`, in-process on a 2-vCPU VM, a batch of
 
 `_solve` is the one exact solver of a matroid M, for a list of members:
 M itself, or single-element minors M \\ e and M / e, whose lambda is read
-from M's class ranks with no minor matrix or table.  With E' = E - e,
+from one array r of M's class ranks r(S), with no minor matrix or table.
+r(E - S) is r at the complement state ~S (count |class_j| - c_j in every
+class), r reversed along every axis, so every member has
 
-    M:        lambda(S) = r(S) + r(E - S) - r(E)
-    delete:   lambda(S) = r(S) + r(E' - S) - r(E')
-    contract: lambda(S) = r(S + e) + r(E - S) - r(e) - r(E),
+    lambda(S) = r'(S) + r'(~S) - r'(0) - r'(~0),  ~S in its own counts,
 
-each a sum of two class-rank arrays, e's class axis sliced for a minor,
-less its value at S = 0.  A minor's classes are M's with e removed:
+r' = r for M, and r with e's count sliced to c_e <= |class_e| - 1 for M \\ e
+(E - e - S = E - (S + e)), or to c_e >= 1 for M / e (r(S + e) - r(e) is its
+rank).  A minor's classes are M's with e removed:
 parallel elements of M stay interchangeable in M \\ e and M / e, and a
 contraction that makes more elements parallel only leaves finer classes
 and more states than needed; the back-walk's tie rule is the subset DP's
@@ -219,42 +220,31 @@ def _strides(classes) -> tuple:
     return strides, size
 
 
-def _class_ranks(M: VectorMatroid, classes) -> tuple:
-    """r(S) and r(E - S) of every class-count state S (uint8, module
-    docstring), shaped with one axis per class, class j on axis J - 1 - j:
-    the simplification's rank table gathered along each class axis, for
-    r(S) at count c by [c > 0] and for r(E - S) by [c = |class|] on the
-    reversed table.  The simplification keeps one element of each class, a
-    loop too, and is M itself when M has no parallel elements; then both
-    are views of M's table."""
+def _class_ranks(M: VectorMatroid, classes) -> np.ndarray:
+    """r(S) of every class-count state S (uint8, module docstring), shaped
+    with one axis per class, class j on axis J - 1 - j: the rank table of
+    the simplification, which keeps one element of each class, a loop too,
+    gathered along each class axis by [c > 0].  For a simple M it is a view
+    of M's table; r(E - S) is this array reversed along every axis."""
     reps = {c[0] for c in classes}
-    if len(reps) == M.size:
-        simple = M
-    else:
-        simple = delete(M, [lbl for i, lbl in enumerate(M.labels) if i not in reps])
-    table = simple.rank_table()
-    shape = (2,) * len(reps)  # class j on axis J - 1 - j, class 0 fastest
-    head, tail = table.reshape(shape), table[::-1].reshape(shape)
-    last = len(classes) - 1
+    simple = M if len(reps) == M.size else delete(M, [lbl for i, lbl in enumerate(M.labels) if i not in reps])
+    ranks = simple.rank_table().reshape((2,) * len(reps))  # class 0 fastest
     for j, c in enumerate(classes):
-        s = len(c)
-        if s > 1:
-            head = np.take(head, np.minimum(np.arange(s + 1), 1), axis=last - j)
-            tail = np.take(tail, (np.arange(s + 1) == s).astype(np.intp), axis=last - j)
-    return head, tail
+        if len(c) > 1:
+            ranks = np.take(ranks, np.minimum(np.arange(len(c) + 1), 1), axis=len(classes) - 1 - j)
+    return ranks
 
 
-def _gather(head, tail, out, axis=None, op=None) -> None:
+def _gather(ranks, out, axis=None, op=None) -> None:
     """lambda of M, or of M \\ e or M / e (op "delete" or "contract") with
     e's class on axis, over the member's class-count states, written into
-    out from M's class ranks (`_class_ranks`, module docstring).  S + e
-    holds one more of e's class than S, and E' - S = E - (S + e): delete
-    reads r(S) + r(E - (S + e)), contract r(S + e) + r(E - S), M
-    r(S) + r(E - S), each less its value at S = 0."""
+    out from M's class ranks (`_class_ranks`) by the module docstring's one
+    formula: r' + r' reversed along every axis, less its value at S = 0."""
     if axis is not None:
-        count, one_more = (slice(None),) * axis + (slice(-1),), (slice(None),) * axis + (slice(1, None),)
-        head, tail = (head[count], tail[one_more]) if op == "delete" else (head[one_more], tail[count])
-    np.add(head, tail, out=out.reshape(head.shape))
+        ranks = ranks[(slice(None),) * axis + (slice(-1) if op == "delete" else slice(1, None),)]
+    lam = out.reshape(ranks.shape)  # a reversed operand is copied faster than summed
+    lam[...] = ranks[(slice(None, None, -1),) * ranks.ndim]
+    lam += ranks
     out -= out[0]
 
 
@@ -581,7 +571,7 @@ def _solve(M: VectorMatroid, members, upper=None) -> list:
     if upper is not None and not isinstance(upper, int):
         bound = width_of_ordering(M, upper)
         upper = bound.width
-    head, tail = _class_ranks(M, classes)
+    ranks = _class_ranks(M, classes)
     # the members of each shape of class sizes, with the axis of e's class j
     # (J - 1 - j) and the member's classes, M's with e taken from class j
     groups = {}
@@ -602,12 +592,12 @@ def _solve(M: VectorMatroid, members, upper=None) -> list:
             check_budget(1 << len(classes), len(part) * size)
             lam = np.empty((len(part), size), dtype=np.uint8)
             for row, (_, axis, op, _) in zip(lam, part):
-                _gather(head, tail, row, axis, op)
+                _gather(ranks, row, axis, op)
             left -= len(part)
             if not left:
-                # a non-simple M's class ranks are copies of a byte a state:
+                # a non-simple M's class ranks are a copy of a byte a state:
                 # freed before the last DP, M's own when it is alone
-                del head, tail
+                del ranks
             solved = prefix_dp(lam, [rest for *_, rest in part], lambda i: label_key(M.labels[i]), upper=upper)
             for (member, _, op, rest), row, (width, order) in zip(part, lam, solved):
                 contracted = M.columns[member[0]] if op == "contract" else None

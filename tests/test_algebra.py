@@ -278,12 +278,28 @@ def test_matrix_round_trip_extension_field():
     assert _parse(text) == A
 
 
+@pytest.mark.parametrize("m", range(4))
+def test_matrix_round_trip_without_columns(m):
+    # the m rows are written as m blank lines, which only separate
+    A = GfMatrix(GF3, [()] * m, cols=0)
+    text = matrix_to_text(A)
+    assert text == f"3 {m} 0\n" + "\n" * m
+    B = _parse(text)
+    assert (B.rows, B.cols) == (m, 0) and B == A
+    assert matrix_to_text(B) == text
+
+
 def test_matrix_parse_errors_carry_line_numbers():
     with pytest.raises(MatrixFormatError) as err:
         _parse("3 2 2\n1 0\n9 0\n")
     assert err.value.line == 3
     with pytest.raises(MatrixFormatError) as err:
         _parse("6 1 1\n0\n")
+    assert err.value.line == 1
+    # no line is read for the empty rows of an m x 0 matrix, but m is
+    # bounded by the lines after the header
+    with pytest.raises(MatrixFormatError, match="expected 3 rows, found 2 lines") as err:
+        _parse("2 3 0\n\n\n")
     assert err.value.line == 1
 
 

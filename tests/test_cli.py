@@ -121,10 +121,17 @@ def test_reduce_verify_null_graph(capsys, tmp_path):
     # no vertices: pw(G) = -1 and the apex matroid is empty, pw(M) = 0
     p = tmp_path / "null.graph"
     p.write_text("0\n")
-    code, payload, err = run(capsys, "reduce", str(p), "--verify")
+    out_prefix = str(tmp_path / "out")
+    code, payload, err = run(capsys, "reduce", str(p), "--verify", "--out", out_prefix)
     assert code == 0
     assert payload["verify"] == {"pw_graph": -1, "pw_matroid": 0, "identity": True}
     assert "pw 0 = -1 + 1" in err
+    # its 1 x 0 matrix survives its own text format
+    assert payload["matrix"] == "2 1 0\n\n"
+    code, payload, err = run(capsys, "pathwidth", out_prefix + ".mat")
+    assert code == 0
+    assert payload["certificate"] == {"width": 0, "ordering": [], "prefix_lambdas": []}
+    assert "width 0 on 0 elements" in err
 
 
 def test_reduce_k3_verify_and_files(capsys, tmp_path):
@@ -254,6 +261,22 @@ def test_check_minor_pattern_file_absent(capsys, tmp_path):
     code, payload, _ = run(capsys, "check-minor", "--host", str(host), "--pattern", str(pattern))
     assert code == 0
     assert payload["result"] == "absent"
+
+
+@pytest.mark.parametrize("pattern, host_text, field", [
+    ("U24", FREE3_TEXT, "GF(2)"),
+    ("F7", "3 2 3\n1 0 1\n0 1 1\n", "GF(3)"),
+    ("F7*", "5 2 3\n1 0 1\n0 1 1\n", "GF(5)"),
+    ("U36", "3 2 3\n1 0 1\n0 1 1\n", "GF(3)"),
+])
+def test_check_minor_catalog_pattern_without_a_representation_is_absent(capsys, tmp_path, pattern,
+                                                                        host_text, field):
+    # no file of that name is read: the pattern is never a minor of the host
+    host = tmp_path / "host.mat"
+    host.write_text(host_text)
+    code, payload, err = run(capsys, "check-minor", "--host", str(host), "--pattern", pattern)
+    assert code == 0 and payload == {"result": "absent"}
+    assert err == f"no {pattern} minor: {pattern} has no representation over {field}\n"
 
 
 def test_verify_excluded_pass(capsys, u24_file):

@@ -4,11 +4,13 @@ excluded-minor verification harness."""
 import numpy as np
 import pytest
 
+from matwidth import field_new
 from matwidth.graph import cycle_matroid, make_umbrella
 from matwidth.matroid import GroundSetTooLarge, VectorMatroid, direct_sum, dual, is_isomorphic
 from matwidth.minors import (
     MinorCertificate,
     UniformNotRepresentable,
+    catalog_entry,
     catalog_minor_witness,
     check_fano,
     check_uniform,
@@ -103,6 +105,20 @@ def test_catalog_w1_entries_are_excluded_minors():
         for entry in excluded_minor_catalog(1, field):
             report = verify_excluded_minor(entry.matroid, 1)
             assert report.passed, (entry.name, report.failures)
+
+
+def test_catalog_entry_without_a_representation_is_none():
+    # every field's entries are GF(4)'s; a name GF(4) has that the field
+    # lacks is an entry with no representation over the field
+    names = {e.name for w in (1, 2) for e in excluded_minor_catalog(w, GF4)}
+    for field in (GF2, GF3, GF4, GF5, field_new(2, 3), field_new(3, 2)):
+        own = {e.name for w in (1, 2) for e in excluded_minor_catalog(w, field)}
+        assert own <= names
+        for name in names:
+            entry = catalog_entry(name, field)
+            assert (entry.name == name) if name in own else entry is None
+    with pytest.raises(KeyError, match="unknown catalog entry"):
+        catalog_entry("K5", GF4)
 
 
 def test_invalid_w():

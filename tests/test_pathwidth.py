@@ -47,14 +47,14 @@ from matwidth.pathwidth import (
 from matwidth.reduction import add_apex, apex_matroid, simplify_double
 from util import (
     GF2, GF3, GF4, GF5, brute_force_pathwidth, graphic_lambda, matroid, ref_field_ops,
-    ref_lambda_table, u24,
+    ref_lambda_table, ref_rank_table, u24,
 )
 
 
 def _class_lambdas(M, classes):
     """M's lambda over its class-count states, by the solver's one gather."""
     lam = np.empty(_strides(classes)[1], dtype=np.uint8)
-    _gather(*_class_ranks(M, classes), lam)
+    _gather(_class_ranks(M, classes), lam)
     return lam
 
 
@@ -658,7 +658,18 @@ def test_parallel_classes_scale_columns_and_gather_loops():
     assert parallel_classes(u24()) == [[0], [1], [2], [3]]
 
 
+def _subset_states(classes, subsets):
+    """The class-count state of each subset mask (int64 array)."""
+    strides, _ = _strides(classes)
+    return sum((strides[j] * np.bitwise_count(subsets & sum(1 << e for e in c)).astype(np.int64)
+                for j, c in enumerate(classes)), np.zeros_like(subsets))
+
+
 def test_class_lambdas_agree_with_every_subset():
+    # M and its 2n single-element minors, each member's row gathered from
+    # M's class ranks as _solve does, against lambda from reference ranks
+    # of M at every subset: with E' = E - e, M \\ e has r(S) + r(E' - S) -
+    # r(E') and M / e has r(S + e) + r(E - S) - r(e) - r(E), S within E'
     rng = np.random.default_rng(71)
     for field in (GF3, GF4, GF5):
         for _ in range(6):
@@ -667,12 +678,23 @@ def test_class_lambdas_agree_with_every_subset():
             M = matroid(field, rows)
             classes = parallel_classes(M)
             lam = _class_lambdas(M, classes)
-            strides, size = _strides(classes)
-            assert lam.dtype == np.uint8 and lam.size == size
-            ref = ref_lambda_table(field, rows, n)
-            for S in range(1 << n):
-                x = sum(strides[j] * sum((S >> e) & 1 for e in c) for j, c in enumerate(classes))
-                assert lam[x] == ref[S]
+            assert lam.dtype == np.uint8 and lam.size == _strides(classes)[1]
+            subsets = np.arange(1 << n, dtype=np.int64)
+            assert np.array_equal(lam[_subset_states(classes, subsets)], ref_lambda_table(field, rows, n))
+            r, full = np.array(ref_rank_table(field, rows, n)), (1 << n) - 1
+            ranks = _class_ranks(M, classes)
+            for e in range(n):
+                j = next(j for j, c in enumerate(classes) if e in c)
+                kept = [i for i in classes[j] if i != e]
+                rest = classes[:j] + ([kept] if kept else []) + classes[j + 1:]
+                S = subsets[(subsets >> e) & 1 == 0]
+                rest_mask = full ^ (1 << e)
+                refs = {"delete": r[S] + r[rest_mask ^ S] - r[rest_mask],
+                        "contract": r[S | 1 << e] + r[full ^ S] - r[1 << e] - r[full]}
+                for op, ref in refs.items():
+                    row = np.empty(_strides(rest)[1], dtype=np.uint8)
+                    _gather(ranks, row, len(classes) - 1 - j, op)
+                    assert np.array_equal(row[_subset_states(rest, S)], ref), (e, op)
 
 
 def test_class_lambdas_on_a_simple_matroid_are_the_subset_table():
@@ -690,8 +712,8 @@ def test_exact_width_of_25_parallel_copies():
 
 def test_exact_dp_on_an_apex_matroid_holds_no_class_ranks():
     # C6's apex matroid: 12 parallel pairs, 3^12 states.  Its class ranks
-    # are copies of a byte a state; they are freed before the DP, so the
-    # peak is lambda, B and the DP's chunks, under 4 bytes a state
+    # are a copy of a byte a state, freed before the DP, so the peak is
+    # lambda, B and the DP's chunks, under 4 bytes a state
     M = apex_matroid(add_apex(simplify_double(cycle_graph(6))), GF2)
     assert [len(c) for c in parallel_classes(M)] == [2] * 12
     pathwidth_exact(M)  # caches filled before measuring
@@ -702,6 +724,26 @@ def test_exact_dp_on_an_apex_matroid_holds_no_class_ranks():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 3**12
+
+
+def test_class_ranks_and_lambda_of_an_apex_matroid_hold_two_bytes_a_state():
+    # C6's apex matroid, 3^12 states: r(S) is one byte a state, r(E - S) is
+    # read from it reversed, and lambda is the other byte
+    M = apex_matroid(add_apex(simplify_double(cycle_graph(6))), GF2)
+    classes = parallel_classes(M)
+    assert _strides(classes)[1] == 3**12
+
+    def ranks_and_lambda():
+        _gather(_class_ranks(M, classes), np.empty(3**12, dtype=np.uint8))
+
+    ranks_and_lambda()  # caches filled before measuring
+    tracemalloc.start()
+    try:
+        ranks_and_lambda()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 3**12 + 64 * 1024
 
 
 def _simple_gf2_columns(n):
